@@ -68,6 +68,12 @@ def parse_alpha_spec(spec: str):
         raise ParseError(f"cannot parse alpha spec {spec!r}") from None
 
 
+def _load_trimmed(path):
+    """The system at path restricted to its accessible and co-accessible
+    coordinates: what `bound` searches on, so what `verify` checks against."""
+    return trim(load_system(path))[0]
+
+
 def _write_out(text: str, path):
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -91,8 +97,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    system = load_system(args.system)
-    system, _ = trim(system)
+    system = _load_trimmed(args.system)
     alpha, nf = parse_alpha_spec(args.alpha)
     if args.verify:
         cert = load_certificate(args.verify)
@@ -148,19 +153,20 @@ def _verify_and_report(system, cert, alpha=None, claim=None) -> int:
 
 
 def cmd_verify(args) -> int:
-    system = load_system(args.system)
+    system = _load_trimmed(args.system)
     cert = load_certificate(args.certificate)
     return _verify_and_report(system, cert)
 
 
 def cmd_oracle(args) -> int:
-    system = load_system(args.system)
     k = args.k
     if args.audit:
+        system = _load_trimmed(args.system)
         cert = load_certificate(args.audit)
         report = bound_audit(system, cert, k)
         print(report.render())
         return 0
+    system = load_system(args.system)
     mode = "both"
     if args.shapes:
         mode = "shapes"
@@ -252,10 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="treebound",
         description="exact growth-rate bounds for counted vertex-subset "
                     "families over trees, via bilinear systems")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker bound for search/verify/oracle; runs are "
-                         "deterministic for any value (current build is "
-                         "sequential)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compile", help="automaton file -> system file")

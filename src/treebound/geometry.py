@@ -1,20 +1,20 @@
-"""Exact linear programming and dominated-convex-hull operations.
+"""Exact dominated-convex-hull operations.
 
-The simplex works over any exact ordered coefficient type (rationals or
-elements of one algebraic number field), uses Bland's rule, and returns exact
-optima.  On top of it sit the two operations the certificate machinery needs:
-membership in conv_<=(X) (the downward closure of the convex hull inside the
-nonnegative orthant) and reduction of a vector set to a minimal subset with
-the same dominated hull.
+The certificate machinery asks one LP question: is x in conv_<=(X), the
+downward closure of the convex hull of X inside the nonnegative orthant?
+`lp_solve` answers it with a phase-1 simplex over any exact ordered
+coefficient type (rationals or elements of one algebraic number field).  On
+top of it sit membership and the reduction of a vector set to a minimal
+subset with the same dominated hull.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
-from .numeric import Q, QONE, QZERO, sign_of
+from .numeric import AlgebraicNumber, Q, QONE, QZERO, invert, sign_of
 
 Vec = Tuple  # coordinates: rationals or AlgebraicNumbers
 
@@ -51,179 +51,85 @@ def vec_is_nonnegative(u: Vec) -> bool:
     return all(sign_of(a) >= 0 for a in u)
 
 
-# -- LP problems --------------------------------------------------------------
+# -- conv_<= membership LP ---------------------------------------------------
 
-@dataclass(frozen=True)
-class LPProblem:
-    """min/max objective . x  s.t.  rows[i] . x  (sense_i)  rhs[i],  x >= 0."""
+def lp_solve(x: Vec, X: Sequence[Vec]) -> Optional[Vec]:
+    """lambda >= 0 with sum lambda = 1 and sum lambda_i X_i >= x, or None.
 
-    rows: Tuple[Vec, ...]
-    senses: Tuple[str, ...]  # '<=', '=', '>='
-    rhs: Tuple
-    objective: Vec
-    direction: str  # 'max' or 'min'
-
-    def __post_init__(self):
-        n = len(self.objective)
-        if not all(len(r) == n for r in self.rows):
-            raise DimensionMismatch("constraint row width differs from objective")
-        if len(self.rows) != len(self.senses) or len(self.rows) != len(self.rhs):
-            raise DimensionMismatch("rows, senses and rhs lengths differ")
-        if self.direction not in ("max", "min"):
-            raise ValueError(f"direction {self.direction!r}")
-        if any(s not in ("<=", "=", ">=") for s in self.senses):
-            raise ValueError("senses must be '<=', '=' or '>='")
-
-
-@dataclass(frozen=True)
-class LPResult:
-    status: str  # 'optimal', 'infeasible', 'unbounded'
-    value: Optional[object] = None
-    point: Optional[Vec] = None
-
-
-def _ratio_less(b1, a1, b2, a2) -> bool:
-    """b1/a1 < b2/a2 for a1, a2 > 0."""
-    return sign_of(b1 * a2 - b2 * a1) < 0
-
-
-class _Tableau:
-    """Dense simplex tableau with Bland's rule (guaranteed termination)."""
-
-    def __init__(self, rows, basis, cost):
-        self.rows = rows      # each: [coeffs..., rhs]
-        self.basis = basis    # basic variable index per row
-        self.cost = cost      # reduced-cost row: [coeffs..., -objective_value]
-
-    def pivot(self, r: int, c: int) -> None:
-        row = self.rows[r]
-        inv = row[c]
-        self.rows[r] = row = [v / inv for v in row]
-        for i, other in enumerate(self.rows):
-            if i == r:
-                continue
-            f = other[c]
-            if sign_of(f) != 0:
-                self.rows[i] = [v - f * w for v, w in zip(other, row)]
-        f = self.cost[c]
-        if sign_of(f) != 0:
-            self.cost = [v - f * w for v, w in zip(self.cost, row)]
-        self.basis[r] = c
-
-    def run(self, ncols: int) -> str:
-        """Minimize; returns 'optimal' or 'unbounded'."""
-        while True:
-            enter = -1
-            for j in range(ncols):
-                if sign_of(self.cost[j]) < 0:  # Bland: first improving column
-                    enter = j
-                    break
-            if enter < 0:
-                return "optimal"
-            leave, lb, la = -1, None, None
-            for i, row in enumerate(self.rows):
-                a = row[enter]
-                if sign_of(a) <= 0:
-                    continue
-                b = row[-1]
-                if leave < 0 or _ratio_less(b, a, lb, la) or (
-                        not _ratio_less(lb, la, b, a)
-                        and self.basis[i] < self.basis[leave]):
-                    leave, lb, la = i, b, a
-            if leave < 0:
-                return "unbounded"
-            self.pivot(leave, enter)
-
-
-def lp_solve(p: LPProblem) -> LPResult:
-    """Exact two-phase simplex over the ordered field of the problem data."""
-    n = len(p.objective)
-    rows, senses, rhs = [list(r) for r in p.rows], list(p.senses), list(p.rhs)
-    for i in range(len(rows)):
-        if sign_of(rhs[i]) < 0:
-            rows[i] = [-a for a in rows[i]]
-            rhs[i] = -rhs[i]
-            senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
-
-    nslack = sum(1 for s in senses if s == "<=")
-    nsurp = sum(1 for s in senses if s == ">=")
-    nart = sum(1 for s in senses if s in (">=", "="))
-    width = n + nslack + nsurp + nart
-    tab_rows, basis = [], []
-    si, pi, ai = n, n + nslack, n + nslack + nsurp
-    art_cols = []
-    for i, row in enumerate(rows):
-        full = list(row) + [QZERO] * (width - n) + [rhs[i]]
-        if senses[i] == "<=":
-            full[si] = QONE
-            basis.append(si)
-            si += 1
-        elif senses[i] == ">=":
-            full[pi] = -QONE
-            full[ai] = QONE
-            basis.append(ai)
-            art_cols.append(ai)
-            pi += 1
-            ai += 1
+    Phase 1 of the simplex from the artificial basis, with Bland's rule.  The
+    pivots are integer-preserving (Edmonds 1967, Bareiss 1968): the tableau
+    holds every entry times d, the last pivot, and each pivot divides exactly
+    by the previous d.  A row whose data are all rational is scaled to ints by
+    its lcm denominator, so it stays in ints with no gcd work.  Over Q(alpha)
+    the same loop multiplies by one inverse of d per pivot.
+    """
+    m, n = len(X), len(x)
+    width = m + n                   # lambda columns, then one surplus each
+    rows = [[1] * m + [0] * n + [1]]
+    for j in range(n):
+        data = [v[j] for v in X] + [x[j]]
+        if any(isinstance(a, AlgebraicNumber) for a in data):
+            # no int in a field row: a row is all ints or has none
+            data, one, zero = [a if isinstance(a, AlgebraicNumber) else Q(a)
+                               for a in data], QONE, QZERO
         else:
-            full[ai] = QONE
-            basis.append(ai)
-            art_cols.append(ai)
-            ai += 1
-        tab_rows.append(full)
+            scale = lcm(*(a.denominator for a in data))
+            data, one, zero = [a.numerator * (scale // a.denominator)
+                               for a in data], 1, 0
+        if sign_of(data[-1]) < 0:  # rhs >= 0 for the artificial basis
+            data, one = [-a for a in data], -one
+        row = data[:-1] + [zero] * n + data[-1:]
+        row[m + j] = -one
+        rows.append(row)
+    basis = [width + i for i in range(n + 1)]   # artificials, never stored
+    cost = [-sum(col) for col in zip(*rows)]    # phase-1 reduced costs, -w
+    d = 1
+    while sign_of(cost[-1]) != 0:
+        enter = next((j for j in range(width) if sign_of(cost[j]) < 0), -1)
+        if enter < 0:
+            return None             # optimal with artificials left: infeasible
+        leave = -1
+        for i, row in enumerate(rows):
+            a = row[enter]
+            if sign_of(a) <= 0:
+                continue
+            if leave < 0:
+                leave = i
+                continue
+            la, lb = rows[leave][enter], rows[leave][-1]
+            s = sign_of(row[-1] * la - lb * a)
+            if s < 0 or (s == 0 and basis[i] < basis[leave]):
+                leave = i
+        if leave < 0:
+            raise ArithmeticError("phase 1 cannot be unbounded")
+        prow = rows[leave]
+        p = prow[enter]
+        ints = type(p) is int and type(d) is int
+        inv = invert(d)
+        for i, row in enumerate(rows):
+            if i != leave:
+                rows[i] = _eliminate(row, prow, enter, d, inv, ints)
+        cost = _eliminate(cost, prow, enter, d, inv, ints)
+        basis[leave] = enter
+        d = p
+    lam = [QZERO] * m
+    inv = invert(d)
+    for i, b in enumerate(basis):
+        if b < m:
+            lam[b] = rows[i][-1] * inv
+    return tuple(lam)
 
-    # phase 1: minimize the sum of artificials
-    cost = [QZERO] * (width + 1)
-    for c in art_cols:
-        cost[c] = QONE
-    tab = _Tableau(tab_rows, basis, cost)
-    for i, b in enumerate(tab.basis):
-        if b in art_cols:
-            f = tab.cost[b]
-            if sign_of(f) != 0:
-                tab.cost = [v - f * w for v, w in zip(tab.cost, tab.rows[i])]
-    if art_cols:
-        tab.run(width)
-        if sign_of(tab.cost[-1]) != 0:  # -objective != 0 => sum of arts > 0
-            return LPResult("infeasible")
-        art_set = set(art_cols)
-        keep = []
-        for i in range(len(tab.rows)):
-            if tab.basis[i] in art_set:
-                # degenerate: swap the artificial out, or drop a redundant row
-                for j in range(n + nslack + nsurp):
-                    if sign_of(tab.rows[i][j]) != 0:
-                        tab.pivot(i, j)
-                        break
-                else:
-                    continue
-            keep.append(i)
-        tab.rows = [tab.rows[i] for i in keep]
-        tab.basis = [tab.basis[i] for i in keep]
 
-    # phase 2 with the real objective (as minimization)
-    sign = -1 if p.direction == "max" else 1
-    cost = [sign * c for c in p.objective] + [QZERO] * (width - n) + [QZERO]
-    for c in art_cols:
-        cost[c] = None  # artificials are gone; block re-entry
-    cost = [QZERO if c is None else c for c in cost]
-    tab.cost = cost
-    ncols = n + nslack + nsurp  # never re-enter artificial columns
-    for i, b in enumerate(tab.basis):
-        f = tab.cost[b]
-        if sign_of(f) != 0:
-            tab.cost = [v - f * w for v, w in zip(tab.cost, tab.rows[i])]
-    status = tab.run(ncols)
-    if status == "unbounded":
-        return LPResult("unbounded")
-    point = [QZERO] * n
-    for i, b in enumerate(tab.basis):
-        if b < n:
-            point[b] = tab.rows[i][-1]
-    value = -tab.cost[-1]
-    if p.direction == "max":
-        value = -value
-    return LPResult("optimal", value, tuple(point))
+def _eliminate(row, prow, c, d, inv, ints):
+    """(p*row - f*prow) / d for p = prow[c], f = row[c], exactly.
+
+    The quotient is a minor of the scaled data, so an all-int row divides
+    exactly; any other row multiplies by inv = 1/d.
+    """
+    p, f = prow[c], row[c]
+    if ints and type(f) is int:
+        return [(p * a - f * b) // d for a, b in zip(row, prow)]
+    return [(p * a - f * b) * inv for a, b in zip(row, prow)]
 
 
 # -- dominated convex hull -----------------------------------------------------
@@ -243,17 +149,7 @@ def member_dominated_hull(x: Vec, X: Sequence[Vec]) -> bool:
     for v in X:
         if vec_leq(x, v):
             return True
-    m = len(X)
-    rows = [tuple(QONE for _ in range(m))]
-    senses = ["="]
-    rhs = [QONE]
-    for j in range(n):
-        rows.append(tuple(X[i][j] for i in range(m)))
-        senses.append(">=")
-        rhs.append(x[j])
-    prob = LPProblem(tuple(rows), tuple(senses), tuple(rhs),
-                     tuple(QZERO for _ in range(m)), "min")
-    return lp_solve(prob).status == "optimal"
+    return lp_solve(x, X) is not None
 
 
 def hull_reduce(X: Sequence[Vec]) -> List[Vec]:

@@ -6,13 +6,14 @@ sparsely as {exponent: rational}.  Signs of nonzero elements are decided by
 evaluating on the isolating interval and bisecting it as needed; the exact
 zero test goes through gcd with P, so sign queries always terminate.
 
-Pure rationals are plain ``gmpy2.mpq`` values (``fractions.Fraction`` when
-gmpy2 is unavailable); they mix freely with field elements, so rational-only
-computations never pay for polynomial arithmetic.
+Pure rationals are plain ``fractions.Fraction`` values; they mix freely with
+field elements, so rational-only computations never pay for polynomial
+arithmetic.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction as Q
 from typing import Iterable, Sequence, Tuple
 
 from .errors import (
@@ -23,15 +24,8 @@ from .errors import (
     NotSquareFree,
 )
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as Q
-
 QZERO = Q(0)
 QONE = Q(1)
-
-Rational = Q
 
 
 def parse_rational(tok: str) -> Q:
@@ -272,9 +266,6 @@ def root_bound(p: Sequence) -> Q:
 # Number fields.
 # ---------------------------------------------------------------------------
 
-_FIELD_CACHE: dict = {}
-
-
 class NumberField:
     """Q[x]/P(x) with an isolating interval selecting one real root of P.
 
@@ -425,9 +416,6 @@ class NumberField:
 
     # -- identity ------------------------------------------------------------
 
-    def _key(self):
-        return (self.poly, self.original_interval)
-
     def __eq__(self, other):
         # same defining polynomial and same selected root: equal intervals,
         # or overlapping intervals whose overlap still contains a root
@@ -473,11 +461,10 @@ class NumberField:
 def field_make(p: Sequence, lo, hi) -> NumberField:
     """Field whose alpha is the unique root of p in (lo, hi).
 
-    Fields are interned by (monic polynomial, interval), so the same header
-    parsed twice yields the same object.
+    Each call builds a fresh field, whose isolating interval starts at
+    (lo, hi); equal fields from two calls still mix (see `_coerce`).
     """
-    f = NumberField(p, lo, hi)
-    return _FIELD_CACHE.setdefault(f._key(), f)
+    return NumberField(p, lo, hi)
 
 
 def nthroot_field(x, n: int) -> NumberField:
@@ -545,7 +532,7 @@ class AlgebraicNumber:
                 raise FieldMismatch(
                     f"{self.field!r} vs {other.field!r}")
             return other
-        if isinstance(other, (int, type(QONE))):
+        if isinstance(other, (int, Q)):
             return AlgebraicNumber(self.field, {0: Q(other)} if other != 0 else {})
         return NotImplemented
 
@@ -671,7 +658,7 @@ class AlgebraicNumber:
         # sign_of(a - b) for semantic equality of values
         if isinstance(other, AlgebraicNumber):
             return self.field == other.field and self._items == other._items
-        if isinstance(other, (int, type(QONE))):
+        if isinstance(other, (int, Q)):
             if other == 0:
                 return not self._items
             return self._items == ((0, Q(other)),)

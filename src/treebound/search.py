@@ -20,7 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import DimensionMismatch, NonPositiveScale, ParseError
+from .errors import (
+    DimensionMismatch,
+    LevelBudgetExceeded,
+    NonPositiveScale,
+    ParseError,
+)
 from .geometry import (
     Vec,
     hull_reduce,
@@ -44,14 +49,11 @@ from .system import BilinearSystem, apply, bk_levels, level_max, objective
 class SearchConfig:
     max_iterations: int = 10_000
     max_vectors: int = 2_000
-    pair_order: str = "insertion"  # the one canonical deterministic policy
     extrapolate: bool = True
 
     def __post_init__(self):
         if self.max_iterations < 1 or self.max_vectors < 1:
             raise ValueError("budgets must be positive")
-        if self.pair_order != "insertion":
-            raise ValueError(f"unknown pair order {self.pair_order!r}")
 
 
 @dataclass(frozen=True)
@@ -233,7 +235,7 @@ def growth_trace(s: BilinearSystem, alpha, kmax: int = 10) -> Tuple:
     """
     try:
         levels = bk_levels(s, kmax, prune=True)
-    except Exception:
+    except LevelBudgetExceeded:
         return ()
     inv = 1 / alpha
     out = []

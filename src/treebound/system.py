@@ -150,18 +150,6 @@ def trim(s: BilinearSystem) -> Tuple[BilinearSystem, Tuple[int, ...]]:
     return trimmed, tuple(keep)
 
 
-def embed_vector(v: Vec, keep: Sequence[int], dim: int) -> Vec:
-    """Lift a trimmed-coordinates vector back to the original coordinates."""
-    out = [QZERO] * dim
-    for new, old in enumerate(keep):
-        out[old] = v[new]
-    return tuple(out)
-
-
-def restrict_vector(v: Vec, keep: Sequence[int]) -> Vec:
-    return tuple(v[old] for old in keep)
-
-
 # -- level sets B^k(V0) ---------------------------------------------------------
 
 

@@ -105,6 +105,24 @@ def test_bound_budget_exhaustion_diagnostics(tmp_path, capsys):
     assert resumed.vectors  # resumable state present
 
 
+def test_bound_emit_then_verify_padded_system(tmp_path, capsys):
+    # a 4th coordinate that only feeds itself is trimmed away by bound; verify
+    # and the audit trim the same way, so the emitted file checks out
+    padded = tmp_path / "padded.system"
+    padded.write_text(fixreg.read_data("indep_dom.system")
+                      .replace("dim 3", "dim 4").replace("states F D d\n", "")
+                      .replace("V0 1 1 0", "V0 1 1 0 0")
+                      .replace("F 0 1 1", "F 0 1 1 0") + "term 4 4 4\n")
+    cert = tmp_path / "c.cert"
+    assert main(["bound", str(padded), "--alpha", "3/2",
+                 "--emit-certificate", str(cert)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(padded), str(cert)]) == 0
+    assert "certificate VALID" in capsys.readouterr().out
+    assert main(["oracle", "--system", str(padded), "--k", "6",
+                 "--audit", str(cert)]) == 0
+
+
 def test_bound_verify_flag(capsys):
     rc = main(["bound", data("indep_dom.system"),
                "--alpha", "root(x^2-2,1,2)",

@@ -1,11 +1,11 @@
-"""Exact simplex, dominated-hull membership, and hull reduction."""
+"""Phase-1 membership LP, dominated-hull membership, and hull reduction."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from simplex_reference import LPProblem, lp_solve as reference_lp, reference_member
 from treebound.errors import DimensionMismatch
 from treebound.geometry import (
-    LPProblem,
     hull_reduce,
     lp_solve,
     member_dominated_hull,
@@ -19,48 +19,112 @@ def lp(rows, senses, rhs, obj, direction):
                      conv(rhs), conv(obj), direction)
 
 
+def assert_witness(lam, x, X):
+    """lambda >= 0, sum lambda = 1, sum lambda_i X_i >= x: mul, add, sign."""
+    assert len(lam) == len(X)
+    assert all(sign_of(a) >= 0 for a in lam)
+    total = Q(0)
+    for a in lam:
+        total = total + a
+    assert sign_of(total - 1) == 0
+    for j in range(len(x)):
+        acc = Q(0)
+        for a, v in zip(lam, X):
+            acc = acc + a * v[j]
+        assert sign_of(acc - x[j]) >= 0
+
+
+# -- the reference simplex (general LPs) -----------------------------------------
+
+
 def test_lp_simple_max():
-    r = lp_solve(lp([[1]], ["<="], [1], [1], "max"))
+    r = reference_lp(lp([[1]], ["<="], [1], [1], "max"))
     assert r.status == "optimal" and r.value == 1 and r.point == (Q(1),)
 
 
 def test_lp_unbounded():
     # x1 >= 0 is implicit; an explicit redundant row keeps it unbounded
-    r = lp_solve(lp([[1]], [">="], [0], [1], "max"))
+    r = reference_lp(lp([[1]], [">="], [0], [1], "max"))
     assert r.status == "unbounded"
+
+
+def test_lp_min_with_equalities():
+    r = reference_lp(lp([[1, 1], [1, -1]], ["=", "="], [2, 0], [1, 3], "min"))
+    assert r.status == "optimal" and r.value == 4 and r.point == (Q(1), Q(1))
+
+
+def test_degenerate_equalities_redundant_rows():
+    r = reference_lp(lp([[1, 1], [2, 2]], ["=", "="], [1, 2], [1, 0], "max"))
+    assert r.status == "optimal" and r.value == 1
+
+
+# -- lp_solve: the phase-1 membership routine ------------------------------------
 
 
 def test_lp_infeasible_convex_combination():
     # lambda >= 0, sum = 1, lambda.{(1,0),(0,1)} >= (3/4, 3/4): coordinate
     # sums of any dominating combination reach only 1 < 3/2
-    rows = [[1, 1], [1, 0], [0, 1]]
-    r = lp_solve(lp(rows, ["=", ">=", ">="], [1, Q(3, 4), Q(3, 4)],
-                    [0, 0], "min"))
-    assert r.status == "infeasible"
-
-
-def test_lp_min_with_equalities():
-    r = lp_solve(lp([[1, 1], [1, -1]], ["=", "="], [2, 0], [1, 3], "min"))
-    assert r.status == "optimal" and r.value == 4 and r.point == (Q(1), Q(1))
+    assert lp_solve((Q(3, 4), Q(3, 4)), [(Q(1), Q(0)), (Q(0), Q(1))]) is None
 
 
 def test_lp_exactness_rational_vs_field(sqrt2_field):
-    # same rational-data problem solved over Q and over Q(sqrt 2)
-    prob_q = lp([[2, 1], [1, 3]], ["<=", "<="], [4, 6], [1, 1], "max")
-    emb = lambda x: sqrt2_field.from_rational(x)
-    prob_f = LPProblem(
-        tuple(tuple(emb(c) for c in r) for r in prob_q.rows),
-        prob_q.senses, tuple(emb(c) for c in prob_q.rhs),
-        tuple(emb(c) for c in prob_q.objective), "max")
-    rq, rf = lp_solve(prob_q), lp_solve(prob_f)
-    assert rq.status == rf.status == "optimal"
-    assert sign_of(rf.value - rq.value) == 0
-    assert all(sign_of(a - b) == 0 for a, b in zip(rq.point, rf.point))
+    # the same rational-data query solved over Q and over Q(sqrt 2)
+    X = [(Q(2), Q(0), Q(1)), (Q(0), Q(3), Q(1)), (Q(1), Q(1), Q(0))]
+    x = (Q(2, 3), Q(1), Q(1, 2))
+    emb = lambda v: tuple(sqrt2_field.from_rational(c) for c in v)
+    lam_q = lp_solve(x, X)
+    lam_f = lp_solve(emb(x), [emb(v) for v in X])
+    assert lam_q is not None and lam_f is not None
+    assert_witness(lam_q, x, X)
+    assert all(sign_of(a - b) == 0 for a, b in zip(lam_q, lam_f))
 
 
-def test_degenerate_equalities_redundant_rows():
-    r = lp_solve(lp([[1, 1], [2, 2]], ["=", "="], [1, 2], [1, 0], "max"))
-    assert r.status == "optimal" and r.value == 1
+def test_lp_negative_rhs_rows():
+    # a coordinate with x_j < 0 is met by any lambda; rows are flipped
+    X = [(Q(1), Q(0)), (Q(0), Q(2))]
+    lam = lp_solve((Q(-1), Q(1)), X)
+    assert lam is not None
+    assert_witness(lam, (Q(-1), Q(1)), X)
+
+
+rationals = st.fractions(min_value=0, max_value=6, max_denominator=5)
+
+
+@st.composite
+def queries(draw, entry):
+    n = draw(st.integers(1, 4))
+    vec = st.tuples(*([entry] * n))
+    return draw(vec), draw(st.lists(vec, min_size=1, max_size=6))
+
+
+@st.composite
+def sqrt2_entries(draw):
+    a, b = draw(rationals), draw(rationals)
+    return (a, b) if draw(st.booleans()) else (a, Q(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(queries(rationals))
+def test_lp_agrees_with_reference_rational(query):
+    x, X = query
+    lam = lp_solve(x, X)
+    assert (lam is not None) == reference_member(x, X)
+    if lam is not None:
+        assert_witness(lam, x, X)
+
+
+@settings(max_examples=60, deadline=None)
+@given(queries(sqrt2_entries()))
+def test_lp_agrees_with_reference_sqrt2(sqrt2_field, query):
+    # entries a + b*sqrt(2), some left rational so rows of both kinds occur
+    root = sqrt2_field.alpha()
+    el = lambda ab: ab[0] + ab[1] * root if ab[1] else ab[0]
+    x = tuple(el(c) for c in query[0])
+    X = [tuple(el(c) for c in v) for v in query[1]]
+    lam = lp_solve(x, X)
+    assert (lam is not None) == reference_member(x, X)
+    if lam is not None:
+        assert_witness(lam, x, X)
 
 
 # -- membership ------------------------------------------------------------------

@@ -10,6 +10,7 @@ from treebound.errors import (
     NotSquareFree,
 )
 from treebound.numeric import (
+    NumberField,
     Q,
     compare_isolated_roots,
     decimal_interval,
@@ -48,6 +49,25 @@ def test_field_plastic_bracket(plastic_field):
     lo, hi = decimal_interval(plastic_field.alpha(), Q(1, 10 ** 6))
     assert lo <= Q(132472, 100000) <= hi or (hi - lo) <= Q(1, 10 ** 6)
     assert decimal_str(plastic_field.alpha(), 5) == "1.32472"
+
+
+def test_field_state_independent_of_earlier_parses(monkeypatch):
+    # each parse of a header builds its own field: a sign decided on one does
+    # not narrow the interval another parse starts from
+    refines = []
+    original = NumberField.refine
+    monkeypatch.setattr(NumberField, "refine",
+                        lambda self: refines.append(self) or original(self))
+
+    def parse_and_decide():
+        f = parse_field_header("field: -2,0,1 ; interval 1 2")
+        start, before = len(refines), f.interval()
+        s = sign_of(f.element([Q(-141421, 100000), 1]))  # sqrt(2) - 1.41421
+        return s, len(refines) - start, before
+
+    first, second = parse_and_decide(), parse_and_decide()
+    assert first == second == (1, first[1], (Q(1), Q(2)))
+    assert first[1] > 0
 
 
 def test_degree_one_field_is_rational():
