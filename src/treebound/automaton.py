@@ -21,8 +21,7 @@ from .errors import (
     ParseError,
     UndeclaredState,
 )
-from .numeric import Q, QZERO
-from .system import BilinearSystem, apply
+from .system import BilinearSystem, apply, objective
 
 TreeTerm = Union[bool, tuple]   # leaf selection flag | (left, right)
 Shape = Union[None, tuple]      # leaf | (left, right)
@@ -157,13 +156,13 @@ def compile(a: TreeAutomaton) -> BilinearSystem:
         raise NoLeafRule("automaton has no leaf rule")
     n = len(a.states)
     idx = {q: i for i, q in enumerate(a.states)}
-    v0 = [QZERO] * n
+    v0 = [0] * n
     for leaf in (a.leaf0, a.leaf1):
         if leaf is not None:
             v0[idx[leaf]] += 1
-    f = tuple(Q(1) if q in a.finals else QZERO for q in a.states)
+    f = tuple(1 if q in a.finals else 0 for q in a.states)
     terms = tuple(
-        (idx[q], idx[q1], idx[q2], Q(1)) for (q1, q2), q in a.trans.items())
+        (idx[q], idx[q1], idx[q2], 1) for (q1, q2), q in a.trans.items())
     return BilinearSystem(n, terms, tuple(v0), f, coord_names=a.states)
 
 
@@ -193,42 +192,17 @@ def select_leaves(shape: Shape, flags, pos: int = 0) -> Tuple[TreeTerm, int]:
     return (left, right), pos
 
 
-def state_count_vector(a: TreeAutomaton, shape: Shape) -> Tuple:
-    """One bottom-up pass: coordinate q counts the selections reaching q.
-
-    This equals the apply-fold of the compiled system over the same shape.
-    """
-    n = len(a.states)
-    idx = {q: i for i, q in enumerate(a.states)}
-
-    def rec(sh: Shape):
-        if sh is None:
-            v = [QZERO] * n
-            for leaf in (a.leaf0, a.leaf1):
-                if leaf is not None:
-                    v[idx[leaf]] += 1
-            return tuple(v)
-        lv, rv = rec(sh[0]), rec(sh[1])
-        out = [QZERO] * n
-        for (q1, q2), q in a.trans.items():
-            c = lv[idx[q1]] * rv[idx[q2]]
-            if c != 0:
-                out[idx[q]] += c
-        return tuple(out)
-
-    return rec(shape)
-
-
 def count_accepted_subsets(a: TreeAutomaton, shape: Shape,
                            exhaustive_cap: int = 12) -> int:
     """Number of leaf selections accepted by the automaton on this shape.
 
-    Always computed by the bottom-up state-count pass; for at most
+    Always computed as F.v for the apply-fold v of the compiled system (its
+    coordinate q counts the selections reaching q); for at most
     exhaustive_cap leaves the 2^k exhaustive evaluation runs as an
     independent cross-check and the two must agree.
     """
-    vec = state_count_vector(a, shape)
-    fast = sum(int(vec[i]) for i, q in enumerate(a.states) if q in a.finals)
+    s = compile(a)
+    fast = objective(s, fold_shape(s, shape))
     k = shape_leaves(shape)
     if k <= exhaustive_cap:
         slow = 0

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import DimensionMismatch
 from .numeric import AlgebraicNumber, Q, QONE, QZERO, invert, sign_of
 
-Vec = Tuple  # coordinates: rationals or AlgebraicNumbers
+Vec = Tuple  # coordinates: ints, Fractions or AlgebraicNumbers
 
 
 # -- small vector helpers ----------------------------------------------------
@@ -36,15 +36,22 @@ def vec_scale(u: Vec, s) -> Vec:
 def vec_dot(u: Vec, v: Vec):
     if len(u) != len(v):
         raise DimensionMismatch(f"dot of {len(u)}-dim and {len(v)}-dim vectors")
-    acc = QZERO
+    acc = 0
     for a, b in zip(u, v):
         acc = acc + a * b
     return acc
 
 
 def vec_leq(u: Vec, v: Vec) -> bool:
-    """Componentwise u <= v."""
-    return all(sign_of(b - a) >= 0 for a, b in zip(u, v))
+    """Componentwise u <= v.  Rationals compare directly; only a field
+    element needs the exact sign of the difference."""
+    for a, b in zip(u, v):
+        if isinstance(a, AlgebraicNumber) or isinstance(b, AlgebraicNumber):
+            if sign_of(b - a) < 0:
+                return False
+        elif a > b:
+            return False
+    return True
 
 
 def vec_is_nonnegative(u: Vec) -> bool:

@@ -722,36 +722,6 @@ def decimal_str(x, digits: int = 6) -> str:
     return f"{'-' if neg else ''}{ip}.{fp:0{digits}d}"
 
 
-def compare_isolated_roots(p1: Sequence, iv1, p2: Sequence, iv2) -> int:
-    """Compare two algebraic reals given as (polynomial, isolating interval).
-
-    Adaptive interval separation; equality is detected through a root of
-    gcd(p1, p2) in the overlap, so the comparison always terminates.
-    """
-    f1 = NumberField(p1, iv1[0], iv1[1], _checked=True)
-    f2 = NumberField(p2, iv2[0], iv2[1], _checked=True)
-    g = None
-    for round_ in range(512):
-        lo1, hi1 = f1.interval()
-        lo2, hi2 = f2.interval()
-        if hi1 < lo2:
-            return -1
-        if hi2 < lo1:
-            return 1
-        if round_ >= 2:
-            if g is None:
-                g = poly_gcd(f1.poly, f2.poly)
-            if poly_deg(g) >= 1:
-                lo, hi = max(lo1, lo2), min(hi1, hi2)
-                if lo < hi and count_real_roots(g, lo, hi) >= 1 \
-                        and count_real_roots(f1.poly, lo, hi) == 1 \
-                        and count_real_roots(f2.poly, lo, hi) == 1:
-                    return 0
-        f1.refine()
-        f2.refine()
-    raise RuntimeError("root comparison did not separate")  # pragma: no cover
-
-
 # ---------------------------------------------------------------------------
 # Textual number syntax shared by all file formats.
 #   rationals:         p/q  or  p

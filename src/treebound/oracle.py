@@ -11,16 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .automaton import Shape, TreeAutomaton, count_accepted_subsets, fold_shape
+from .automaton import Shape, TreeAutomaton, count_accepted_subsets
 from .errors import AuditFailure, CapExceeded
 from .numeric import decimal_str, sign_of
 from .search import Certificate
 from .system import (
     BilinearSystem,
     DEFAULT_LEVEL_CAP,
+    apply,
     bk_levels,
     level_max,
-    objective,
 )
 
 DEFAULT_SHAPE_CAP = 12
@@ -63,15 +63,21 @@ def max_count_via_levels(s: BilinearSystem, k: int, prune: bool = True,
 
 def max_count_via_shapes_system(s: BilinearSystem, k: int,
                                 cap: int = DEFAULT_SHAPE_CAP):
-    """Shape-by-shape maximum of F.(apply-fold); independent of bk_levels."""
+    """Shape-by-shape maximum of F.(apply-fold); independent of bk_levels.
+
+    folds[j] holds one vector per shape with j leaves, in ShapeEnumerator
+    order, so each sub-shape is folded once and shared by every shape that
+    contains it; nothing is deduplicated or pruned.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if k > cap:
         raise CapExceeded(f"shape enumeration for k={k} exceeds cap {cap}")
-    best = None
-    for shape in _SHARED_SHAPES.shapes(k):
-        val = objective(s, fold_shape(s, shape))
-        if best is None or sign_of(val - best) > 0:
-            best = val
-    return best
+    folds = [[], [s.v0]]
+    for j in range(2, k + 1):
+        folds.append([apply(s, left, right) for i in range(1, j)
+                      for left in folds[i] for right in folds[j - i]])
+    return level_max(s, folds[k])
 
 
 def max_count_via_shapes(a: TreeAutomaton, k: int,

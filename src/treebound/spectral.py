@@ -26,7 +26,7 @@ from .numeric import (
     Q,
     QONE,
     QZERO,
-        decimal_str,
+    decimal_str,
     poly,
     poly_compose_power,
     poly_deg,
@@ -136,21 +136,6 @@ def char_poly(m: SquareMatrix) -> Poly:
     return poly_trim(monic)
 
 
-def cayley_hamilton_check(m: SquareMatrix) -> bool:
-    """p(M) = 0 for p = char_poly(M); used as a test oracle."""
-    p = char_poly(m)
-    n = m.n
-    acc = [[QZERO] * n for _ in range(n)]
-    power = [[QONE if i == j else QZERO for j in range(n)] for i in range(n)]
-    for c in p:
-        for i in range(n):
-            for j in range(n):
-                acc[i][j] += c * power[i][j]
-        power = [[sum((power[i][k] * m.entries[k][j] for k in range(n)), QZERO)
-                  for j in range(n)] for i in range(n)]
-    return all(sign_of(acc[i][j]) == 0 for i in range(n) for j in range(n))
-
-
 # -- real root isolation ----------------------------------------------------------
 
 
@@ -256,35 +241,29 @@ class LowerBound:
         return decimal_str(self.field.alpha(), digits)
 
 
-def _isolate_power_root(q: Poly, lam_field: NumberField, s: int, precision
+def _isolate_power_root(lam_field: NumberField, s: int, precision
                         ) -> Tuple[Q, Q]:
-    """Bracket lambda**(1/s) given lambda isolated as the largest root of q.
+    """Width-`precision` bracket (ba, bb) of lambda**(1/s), where lam_field
+    isolates lambda in (la, lb) with la > 0.
 
-    Adaptive: refine lambda's interval until a width-`precision` bracket
-    (ba, bb) exists with ba**s < lambda < bb**s.
+    Bisects t -> t**s against (la, lb), keeping ba**s <= la and bb**s >= lb.
+    Both stay true as refinement narrows (la, lb), so after a refinement the
+    bisection goes on from the bracket it had reached.
     """
     precision = Q(precision)
-    while True:
-        la, lb = lam_field.interval()
-        if la <= 0:
+    la, lb = lam_field.interval()
+    ba, bb = QZERO, max(QONE, lb) + 1
+    while bb - ba > precision:
+        mid = (ba + bb) / 2
+        ms = mid ** s
+        if ms <= la:
+            ba = mid
+        elif ms >= lb:
+            bb = mid
+        else:
             lam_field.refine()
-            continue
-        # crude outer bracket, then bisect t -> t**s against (la, lb)
-        ba, bb = QZERO, max(QONE, lb) + 1
-        ok = True
-        while bb - ba > precision:
-            mid = (ba + bb) / 2
-            ms = mid ** s
-            if ms <= la:
-                ba = mid
-            elif ms >= lb:
-                bb = mid
-            else:
-                ok = False
-                break
-        if ok:
-            return ba, bb
-        lam_field.refine()
+            la, lb = lam_field.interval()
+    return ba, bb
 
 
 def lower_bound(s: BilinearSystem, g: Gadget, gadget_size: int,
@@ -323,7 +302,7 @@ def lower_bound_from_matrix(m: SquareMatrix, gadget_size: int,
         if lb < 0:
             raise NoRealRoot("largest real eigenvalue is not positive")
         lam_field.refine()
-    ba, bb = _isolate_power_root(qsf, lam_field, gadget_size, precision)
+    ba, bb = _isolate_power_root(lam_field, gadget_size, precision)
     composed = poly_compose_power(qsf, gadget_size)
     # (ba, bb) isolates beta inside composed: the real roots of composed are
     # the real gadget_size-th roots of qsf's real roots, and every other one

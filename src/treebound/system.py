@@ -21,7 +21,6 @@ from .errors import (
 from .numeric import (
     NumberField,
     Q,
-    QZERO,
     format_number,
     parse_field_header,
     parse_number,
@@ -69,7 +68,7 @@ def apply(s: BilinearSystem, u: Vec, v: Vec) -> Vec:
     if len(u) != s.dim or len(v) != s.dim:
         raise DimensionMismatch(
             f"apply on {s.dim}-dim system with {len(u)}/{len(v)}-dim vectors")
-    out = [QZERO] * s.dim
+    out = [0] * s.dim
     for q, q1, q2, c in s.terms:
         uq = u[q1]
         if uq == 0:
@@ -178,7 +177,6 @@ class VectorSetByLevel:
     """levels[k] = deduplicated (optionally dominance-pruned) B^k(V0)."""
 
     levels: Dict[int, List[Vec]] = field(default_factory=dict)
-    pruned: bool = True
 
 
 def bk_levels(s: BilinearSystem, kmax: int, prune: bool = True,
@@ -186,7 +184,7 @@ def bk_levels(s: BilinearSystem, kmax: int, prune: bool = True,
     """Levels 1..kmax of B^k(V0), built by the inductive pairing i + (k-i)."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    out = VectorSetByLevel(pruned=prune)
+    out = VectorSetByLevel()
     out.levels[1] = [s.v0]
     for k in range(2, kmax + 1):
         seen = set()
@@ -223,6 +221,15 @@ def level_max(s: BilinearSystem, level: Sequence[Vec]):
 #   # comments; optional "field:" header allows algebraic entries
 
 
+def _parse_entry(tok: str, number_field: Optional[NumberField]):
+    """An entry of V0, F or a term: an integral rational becomes an int, so
+    an integer system counts in ints from parse to level maxima."""
+    x = parse_number(tok, number_field)
+    if isinstance(x, Q) and x.denominator == 1:
+        return x.numerator
+    return x
+
+
 def parse_system(text: str, coord_names: Optional[Sequence[str]] = None
                  ) -> BilinearSystem:
     dim = None
@@ -246,12 +253,12 @@ def parse_system(text: str, coord_names: Optional[Sequence[str]] = None
             if kind == "dim":
                 dim = int(parts[1])
             elif kind == "V0":
-                v0 = tuple(parse_number(t, number_field) for t in parts[1:])
+                v0 = tuple(_parse_entry(t, number_field) for t in parts[1:])
             elif kind == "F":
-                f = tuple(parse_number(t, number_field) for t in parts[1:])
+                f = tuple(_parse_entry(t, number_field) for t in parts[1:])
             elif kind == "term":
                 q, q1, q2 = (int(parts[i]) - 1 for i in (1, 2, 3))
-                c = parse_number(parts[4], number_field) if len(parts) > 4 else Q(1)
+                c = _parse_entry(parts[4], number_field) if len(parts) > 4 else 1
                 terms.append((q, q1, q2, c))
             elif kind == "states":
                 names = tuple(parts[1:])

@@ -10,8 +10,8 @@ from treebound.automaton import (
     format_automaton,
     parse_automaton,
     path_shape,
+    select_leaves,
     shape_leaves,
-    state_count_vector,
 )
 from treebound.errors import (
     DeterminismViolation,
@@ -128,23 +128,27 @@ def test_count_two_leaves_perfect_codes_equivalent(perfect_codes_system):
     assert vec_dot(perfect_codes_system.f, v) == 2
 
 
+def _exhaustive_count(a, shape):
+    k = shape_leaves(shape)
+    return sum(evaluate(a, select_leaves(shape, [(m >> i) & 1 for i in range(k)])[0]).accepted
+               for m in range(1 << k))
+
+
 def test_methods_agree_and_match_fold(indep_dom_automaton, indep_dom_system):
-    # exhaustive (a) vs state-count (b) vs apply-fold of the compiled system,
-    # for every shape with <= 8 leaves and a sample at 9 and 10
+    # exhaustive evaluation vs F . apply-fold of the compiled system (the
+    # count_accepted_subsets fast path, here without its own cross-check), for
+    # every shape with <= 8 leaves and a sample at 9 and 10
+    a = indep_dom_automaton
+    compiled = compile_automaton(a)
     enum = ShapeEnumerator()
-    for k in range(1, 9):
-        for shape in enum.shapes(k):
-            n = count_accepted_subsets(indep_dom_automaton, shape,
-                                       exhaustive_cap=8)
-            v = fold_shape(indep_dom_system, shape)
-            assert vec_dot(indep_dom_system.f, v) == n
-            assert state_count_vector(indep_dom_automaton, shape) == v
-    for k in (9, 10):
-        for shape in enum.shapes(k)[::97]:
-            n = count_accepted_subsets(indep_dom_automaton, shape,
-                                       exhaustive_cap=10)
-            v = fold_shape(indep_dom_system, shape)
-            assert vec_dot(indep_dom_system.f, v) == n
+    shapes = [sh for k in range(1, 9) for sh in enum.shapes(k)]
+    shapes += [sh for k in (9, 10) for sh in enum.shapes(k)[::97]]
+    for shape in shapes:
+        n = _exhaustive_count(a, shape)
+        v = fold_shape(compiled, shape)
+        assert vec_dot(compiled.f, v) == n
+        assert fold_shape(indep_dom_system, shape) == v
+        assert count_accepted_subsets(a, shape, exhaustive_cap=0) == n
 
 
 def test_overflow_guard_switches_to_counting_pass(indep_dom_automaton):

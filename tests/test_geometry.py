@@ -9,6 +9,7 @@ from treebound.geometry import (
     hull_reduce,
     lp_solve,
     member_dominated_hull,
+    vec_leq,
     )
 from treebound.numeric import Q, sign_of
 
@@ -132,6 +133,16 @@ def test_lp_agrees_with_reference_sqrt2(sqrt2_field, query):
 
 def vecs(*rows):
     return [tuple(Q(x) for x in r) for r in rows]
+
+
+def test_vec_leq_mixed_types(sqrt2_field):
+    r2 = sqrt2_field.alpha()
+    assert vec_leq((1, Q(1, 2), r2), (1, 1, Q(3, 2)))
+    assert not vec_leq((1, Q(1, 2), r2), (1, 1, Q(7, 5)))  # sqrt 2 > 7/5
+    assert vec_leq((r2 - 1, 0), (Q(1, 2), Q(0)))
+    assert not vec_leq((Q(1, 2),), (r2 - 1,))
+    assert not vec_leq((2,), (Q(3, 2),)) and vec_leq((Q(3, 2),), (2,))
+    assert vec_leq((r2, 1), (r2, Q(1))) and vec_leq((Q(1), r2), (1, r2))
 
 
 def test_member_midpoint():

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exact_reference import compare_isolated_roots
 from treebound.errors import (
     DivisionByZero,
     FieldMismatch,
@@ -12,7 +13,6 @@ from treebound.errors import (
 from treebound.numeric import (
     NumberField,
     Q,
-    compare_isolated_roots,
     decimal_interval,
     decimal_str,
     field_make,

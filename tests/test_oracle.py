@@ -1,6 +1,7 @@
 """Brute-force maxima: formulas, dual-route agreement, bound audits."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treebound.errors import AuditFailure, CapExceeded
 from treebound.numeric import Q, sign_of
@@ -12,7 +13,7 @@ from treebound.oracle import (
     max_count_via_shapes_system,
 )
 from treebound.search import Certificate
-from treebound.system import objective
+from treebound.system import BilinearSystem, objective
 
 
 def test_shape_enumerator_catalan():
@@ -67,6 +68,31 @@ def test_dual_oracle_all_fixtures(fx):
             a = max_count_via_levels(s, k)
             b = max_count_via_shapes_system(s, k)
             assert sign_of(a - b) == 0, (f.name, k)
+
+
+@st.composite
+def int_systems(draw):
+    n = draw(st.integers(1, 4))
+    entry = st.integers(0, 3)
+    v0 = tuple(draw(st.lists(entry, min_size=n, max_size=n)))
+    f = tuple(draw(st.lists(entry, min_size=n, max_size=n)))
+    keys = draw(st.sets(st.tuples(*[st.integers(0, n - 1)] * 3), max_size=8))
+    terms = tuple((q, q1, q2, draw(st.integers(1, 3)))
+                  for q, q1, q2 in sorted(keys))
+    return BilinearSystem(n, terms, v0, f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(int_systems(), st.integers(1, 7))
+def test_int_routes_match_fraction_routes(s, k):
+    # the same system with every entry a Fraction counts the same, and the
+    # integer system's maxima stay ints on both routes
+    fs = BilinearSystem(s.dim, tuple((q, q1, q2, Q(c)) for q, q1, q2, c in s.terms),
+                        tuple(map(Q, s.v0)), tuple(map(Q, s.f)))
+    for route in (max_count_via_levels, max_count_via_shapes_system):
+        got, want = route(s, k), route(fs, k)
+        assert type(got) is int and type(want) is Q
+        assert got == want
 
 
 def test_prune_mode_agreement(fx):

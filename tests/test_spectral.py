@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from exact_reference import cayley_hamilton_check, compare_isolated_roots
 from treebound.errors import MultipleHoles, NegativeEntry, NoRealRoot
 from treebound.numeric import (
     Q,
@@ -15,7 +16,6 @@ from treebound.numeric import (
 )
 from treebound.spectral import (
     SquareMatrix,
-    cayley_hamilton_check,
     char_poly,
     eval_gadget,
     largest_real_root,
@@ -255,7 +255,7 @@ def test_transfer_matrix_linearity(fx):
 
 
 def test_upper_vs_lower_comparisons(fx):
-    from treebound.numeric import compare_isolated_roots, nthroot_field
+    from treebound.numeric import nthroot_field
 
     # perfect codes: both rates equal 3^(1/7)
     lb = lower_bound_from_matrix(SquareMatrix(((Q(3),),)), 7)

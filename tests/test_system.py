@@ -168,6 +168,19 @@ def test_system_roundtrip(indep_dom_system):
     assert again == indep_dom_system
 
 
+def test_parse_integer_system_gives_ints(fx):
+    s = parse_system(fx.read_data("indep_dom.system"))
+    assert all(type(c) is int for c in s.v0 + s.f)
+    assert all(type(c) is int for *_, c in s.terms)
+    assert all(type(c) is int for c in apply(s, s.v0, s.v0))
+
+
+def test_parse_keeps_non_integral_rationals():
+    s = parse_system("dim 2\nV0 1 1/2\nF 0 2/2\nterm 1 1 2 3/4\n")
+    assert s.v0 == (1, Q(1, 2)) and type(s.v0[1]) is Q
+    assert type(s.f[1]) is int and type(s.terms[0][3]) is Q
+
+
 def test_parse_rejects_duplicate_term():
     bad = "dim 2\nV0 1 0\nF 0 1\nterm 1 1 2\nterm 1 1 2\n"
     with pytest.raises(ParseError):
