@@ -131,12 +131,18 @@ def _eliminate(row, prow, c, d, inv, ints):
     """(p*row - f*prow) / d for p = prow[c], f = row[c], exactly.
 
     The quotient is a minor of the scaled data, so an all-int row divides
-    exactly; any other row multiplies by inv = 1/d.
+    exactly; any other row takes p/d and f/d once, then two products an entry.
     """
     p, f = prow[c], row[c]
     if ints and type(f) is int:
         return [(p * a - f * b) // d for a, b in zip(row, prow)]
-    return [(p * a - f * b) * inv for a, b in zip(row, prow)]
+    if f == 0:
+        if p == d:
+            return row
+        s = p * inv
+        return [s * a for a in row]
+    s, t = p * inv, f * inv
+    return [s * a - t * b for a, b in zip(row, prow)]
 
 
 # -- dominated convex hull -----------------------------------------------------

@@ -2,9 +2,11 @@
 
 A field is Q[x]/P(x) together with a rational interval (lo, hi) isolating one
 real root alpha of P.  Elements are polynomials in alpha reduced mod P, stored
-sparsely as {exponent: rational}.  Signs of nonzero elements are decided by
-evaluating on the isolating interval and bisecting it as needed; the exact
-zero test goes through gcd with P, so sign queries always terminate.
+as sparse integer numerators over one positive denominator, in lowest terms,
+so equal values have equal representatives.  Signs of nonzero elements are
+decided by evaluating the numerator on the isolating interval and bisecting
+it as needed; the exact zero test goes through gcd with P, so sign queries
+always terminate.
 
 Pure rationals are plain ``fractions.Fraction`` values; they mix freely with
 field elements, so rational-only computations never pay for polynomial
@@ -14,6 +16,7 @@ arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from math import gcd, lcm
 from typing import Iterable, Sequence, Tuple
 
 from .errors import (
@@ -63,30 +66,8 @@ def poly_deg(p: Sequence) -> int:
     return len(p) - 1
 
 
-def poly_add(a: Sequence, b: Sequence) -> Poly:
-    n = max(len(a), len(b))
-    return poly_trim([
-        (a[i] if i < len(a) else QZERO) + (b[i] if i < len(b) else QZERO)
-        for i in range(n)
-    ])
-
-
-def poly_sub(a: Sequence, b: Sequence) -> Poly:
-    n = max(len(a), len(b))
-    return poly_trim([
-        (a[i] if i < len(a) else QZERO) - (b[i] if i < len(b) else QZERO)
-        for i in range(n)
-    ])
-
-
 def poly_neg(a: Sequence) -> Poly:
     return tuple(-c for c in a)
-
-
-def poly_scale(a: Sequence, s) -> Poly:
-    if s == 0:
-        return ()
-    return tuple(c * s for c in a)
 
 
 def poly_mul(a: Sequence, b: Sequence) -> Poly:
@@ -291,10 +272,9 @@ class NumberField:
         if self.degree == 1:
             self._exact = -self.poly[0]
             self._lo = self._hi = self._exact
-        # x^(degree+j) reduced mod poly, as sparse dicts, built on demand
-        self._red_rows: list | None = None
-        self._pow_lo: dict = {0: QONE, 1: self._lo}
-        self._pow_hi: dict = {0: QONE, 1: self._hi}
+        # x^(degree+j) reduced mod poly, built on demand
+        self._red_rows: tuple | None = None
+        self._reset_bounds()
 
     def _check_isolation(self, lo, hi):
         vlo, vhi = poly_eval(self.poly, lo), poly_eval(self.poly, hi)
@@ -327,8 +307,7 @@ class NumberField:
             self._lo = mid
         else:
             self._hi = mid
-        self._pow_lo = {0: QONE, 1: self._lo}
-        self._pow_hi = {0: QONE, 1: self._hi}
+        self._reset_bounds()
 
     def refine_to_width(self, width) -> Tuple[Q, Q]:
         width = Q(width)
@@ -336,83 +315,85 @@ class NumberField:
             self.refine()
         return self._lo, self._hi
 
-    def _pow(self, cache, base, e):
-        v = cache.get(e)
-        if v is None:
-            h = self._pow(cache, base, e // 2)
-            v = h * h
-            if e & 1:
-                v *= base
-            cache[e] = v
-        return v
-
-    def _monomial_interval(self, e: int) -> Tuple[Q, Q]:
-        """Interval enclosing alpha**e (alpha may be of either sign)."""
+    def _reset_bounds(self) -> None:
+        """Write the interval as (L/D, H/D) over ints; enclosures are then
+        taken in integers scaled by D**(degree-1), with no gcd."""
         lo, hi = self._lo, self._hi
-        plo = self._pow(self._pow_lo, lo, e)
-        phi = self._pow(self._pow_hi, hi, e)
-        if lo >= 0 or e % 2 == 1:
-            return (plo, phi) if plo <= phi else (phi, plo)
-        if hi <= 0:
-            return (phi, plo) if phi <= plo else (plo, phi)
-        return QZERO, max(plo, phi)  # interval straddles 0, even power
+        den = lcm(lo.denominator, hi.denominator)
+        self._ends = (lo.numerator * (den // lo.denominator),
+                      hi.numerator * (den // hi.denominator), den)
+        self._scale = den ** (self.degree - 1)
+        self._bounds: dict = {}
 
-    def enclose(self, items) -> Tuple[Q, Q]:
-        """Interval enclosing sum(c * alpha**e for e, c in items)."""
-        lo = hi = QZERO
-        for e, c in items:
-            mlo, mhi = self._monomial_interval(e)
+    def _monomial_bounds(self, e: int) -> Tuple[int, int]:
+        """Integers enclosing alpha**e * scale (alpha may be of either sign)."""
+        b = self._bounds.get(e)
+        if b is None:
+            lnum, hnum, den = self._ends
+            rest = den ** (self.degree - 1 - e)
+            plo, phi = lnum ** e * rest, hnum ** e * rest
+            if lnum >= 0 or e % 2 == 1 or hnum <= 0:
+                b = (plo, phi) if plo <= phi else (phi, plo)
+            else:
+                b = (0, max(plo, phi))  # interval straddles 0, even power
+            self._bounds[e] = b
+        return b
+
+    def enclose(self, num) -> Tuple[int, int, int]:
+        """Integers (lo, hi, scale), scale > 0, with lo <= scale * value <= hi
+        for value = sum(c * alpha**e for e, c in num), num's c integers."""
+        lo = hi = 0
+        for e, c in num:
+            mlo, mhi = self._monomial_bounds(e)
             if c >= 0:
                 lo, hi = lo + c * mlo, hi + c * mhi
             else:
                 lo, hi = lo + c * mhi, hi + c * mlo
-        return lo, hi
+        return lo, hi, self._scale
 
     # -- reduction of powers >= degree ----------------------------------------
 
     def _reduction_rows(self):
+        """(rows, den): rows[j] holds the integer numerators of x^(degree+j)
+        mod P, sparse and sorted, all over the one positive denominator den."""
         if self._red_rows is None:
             d = self.degree
-            rows = []
             first = {e: -c for e, c in enumerate(self.poly[:-1]) if c != 0}
-            rows.append(first)
+            rows = [first]
             for _ in range(d - 2):
                 prev = rows[-1]
-                nxt: dict = {}
-                for e, c in prev.items():
-                    if e + 1 == d:
-                        for e2, c2 in first.items():
-                            v = nxt.get(e2, QZERO) + c * c2
-                            if v == 0:
-                                nxt.pop(e2, None)
-                            else:
-                                nxt[e2] = v
-                    else:
-                        v = nxt.get(e + 1, QZERO) + c
-                        if v == 0:
-                            nxt.pop(e + 1, None)
-                        else:
-                            nxt[e + 1] = v
-                rows.append(nxt)
-            self._red_rows = rows
+                nxt = {e + 1: c for e, c in prev.items() if e + 1 < d}
+                top = prev.get(d - 1)
+                if top is not None:
+                    for e, c in first.items():
+                        nxt[e] = nxt.get(e, QZERO) + top * c
+                rows.append({e: c for e, c in nxt.items() if c != 0})
+            den = lcm(*(c.denominator for row in rows for c in row.values()))
+            self._red_rows = ([tuple((e, c.numerator * (den // c.denominator))
+                                     for e, c in sorted(row.items()))
+                               for row in rows], den)
         return self._red_rows
 
-    def reduce_sparse(self, items: dict) -> dict:
-        """Reduce a sparse exponent->coefficient dict mod the defining poly."""
+    def _make(self, num: dict, den: int) -> "AlgebraicNumber":
+        """The canonical element num / den, num a sparse exponent -> int map
+        of any degree and den > 0: reduced mod P, zeros dropped, and the
+        content of the numerator made coprime to den."""
         d = self.degree
-        high = [(e, c) for e, c in items.items() if e >= d]
-        if not high:
-            return {e: c for e, c in items.items() if c != 0}
-        out = {e: c for e, c in items.items() if e < d and c != 0}
-        rows = self._reduction_rows()
-        for e, c in high:
-            for e2, c2 in rows[e - d].items():
-                v = out.get(e2, QZERO) + c * c2
-                if v == 0:
-                    out.pop(e2, None)
-                else:
-                    out[e2] = v
-        return out
+        if num and max(num) >= d:
+            rows, rden = self._reduction_rows()
+            out = {e: c * rden for e, c in num.items() if e < d}
+            for e, c in num.items():
+                if e >= d and c:
+                    for e2, c2 in rows[e - d]:
+                        out[e2] = out.get(e2, 0) + c * c2
+            num, den = out, den * rden
+        items = [(e, c) for e, c in sorted(num.items()) if c]
+        if den != 1:
+            g = gcd(den, *[c for _, c in items])
+            if g != 1:
+                items = [(e, c // g) for e, c in items]
+                den //= g
+        return AlgebraicNumber(self, tuple(items), den)
 
     # -- identity ------------------------------------------------------------
 
@@ -448,8 +429,10 @@ class NumberField:
 
     def element(self, coeffs) -> "AlgebraicNumber":
         """Element from a low-to-high dense coefficient list (length <= degree)."""
-        items = {e: Q(c) for e, c in enumerate(coeffs) if Q(c) != 0}
-        return AlgebraicNumber(self, self.reduce_sparse(items))
+        cs = [Q(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        return self._make({e: c.numerator * (den // c.denominator)
+                           for e, c in enumerate(cs)}, den)
 
     def alpha(self) -> "AlgebraicNumber":
         return self.element([0, 1])
@@ -491,35 +474,42 @@ def nthroot_field(x, n: int) -> NumberField:
 # ---------------------------------------------------------------------------
 
 class AlgebraicNumber:
-    """Immutable element of a NumberField, reduced mod the defining poly."""
+    """Immutable element of a NumberField: integer numerators over one
+    positive denominator, reduced mod the defining poly.
 
-    __slots__ = ("field", "_items", "_hash")
+    `_num` is the sorted tuple of (exponent, nonzero int) pairs and `_den` is
+    coprime to their content, so equal values have equal representatives.
+    """
 
-    def __init__(self, field: NumberField, items: dict):
+    __slots__ = ("field", "_num", "_den", "_hash")
+
+    def __init__(self, field: NumberField, num: tuple, den: int = 1):
         self.field = field
-        self._items = tuple(sorted(items.items()))
+        self._num = num
+        self._den = den
         self._hash = None
 
     # -- views ----------------------------------------------------------------
 
     def items(self):
-        return self._items
+        """Sorted (exponent, rational coefficient) pairs, nonzero only."""
+        return tuple((e, Q(c, self._den)) for e, c in self._num)
 
     def coeff_list(self) -> Tuple[Q, ...]:
         out = [QZERO] * self.field.degree
-        for e, c in self._items:
+        for e, c in self.items():
             out[e] = c
         return poly_trim(out)
 
     def is_zero(self) -> bool:
-        return not self._items
+        return not self._num
 
     def rational_value(self) -> Q | None:
         """The exact rational value, or None when irrational."""
-        if not self._items:
+        if not self._num:
             return QZERO
-        if len(self._items) == 1 and self._items[0][0] == 0:
-            return self._items[0][1]
+        if len(self._num) == 1 and self._num[0][0] == 0:
+            return Q(self._num[0][1], self._den)
         if self.field._exact is not None:
             return poly_eval(self.coeff_list(), self.field._exact)
         return None
@@ -533,32 +523,39 @@ class AlgebraicNumber:
                     f"{self.field!r} vs {other.field!r}")
             return other
         if isinstance(other, (int, Q)):
-            return AlgebraicNumber(self.field, {0: Q(other)} if other != 0 else {})
+            if other == 0:
+                return AlgebraicNumber(self.field, ())
+            return AlgebraicNumber(self.field, ((0, other.numerator),),
+                                   other.denominator)
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        out = dict(self._items)
-        for e, c in o._items:
-            v = out.get(e, QZERO) + c
-            if v == 0:
-                out.pop(e, None)
-            else:
-                out[e] = v
-        return AlgebraicNumber(self.field, out)
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
+    def _plus(self, o: "AlgebraicNumber", sign: int) -> "AlgebraicNumber":
+        """self + sign*o, cross-multiplying the denominators."""
+        if not o._num:
+            return self
+        da, db = self._den, o._den
+        out = {e: c * db for e, c in self._num}
+        for e, c in o._num:
+            out[e] = out.get(e, 0) + sign * c * da
+        return self.field._make(out, da * db)
+
     def __neg__(self):
-        return AlgebraicNumber(self.field, {e: -c for e, c in self._items})
+        return AlgebraicNumber(self.field, tuple((e, -c) for e, c in self._num),
+                               self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        return self._plus(o, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -567,39 +564,54 @@ class AlgebraicNumber:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if not self._items or not o._items:
-            return AlgebraicNumber(self.field, {})
+        if not self._num or not o._num:
+            return AlgebraicNumber(self.field, ())
         prod: dict = {}
-        for e1, c1 in self._items:
-            for e2, c2 in o._items:
+        for e1, c1 in self._num:
+            for e2, c2 in o._num:
                 e = e1 + e2
-                v = prod.get(e, QZERO) + c1 * c2
-                if v == 0:
-                    prod.pop(e, None)
-                else:
-                    prod[e] = v
-        return AlgebraicNumber(self.field, self.field.reduce_sparse(prod))
+                prod[e] = prod.get(e, 0) + c1 * c2
+        return self.field._make(prod, self._den * o._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "AlgebraicNumber":
-        """Exact inverse via the extended Euclidean algorithm in Q[x]."""
-        if not self._items:
+        """Exact inverse by the extended Euclidean algorithm on integer
+        polynomials: pseudo-division, each remainder made primitive.
+
+        With num the numerator polynomial, each step keeps k*r = s*num mod P
+        for int polynomials r, s and an int k.  The last remainder is a
+        constant c, so 1/self = den * s / (k*c).
+        """
+        if not self._num:
             raise DivisionByZero("inverse of zero")
-        a = list(self.coeff_list())
-        p = list(self.field.poly)
-        # extended Euclid: maintain r = s*a mod p (t-coefficients not needed)
-        r0, s0 = tuple(p), ()
-        r1, s1 = poly_trim(a), (QONE,)
-        while True:
-            if poly_deg(r1) == 0:
-                inv = poly_scale(s1, QONE / r1[0])
-                return self.field.element(inv)
-            if not r1:
-                raise NotInvertible(poly_monic(r0))
-            q, r2 = poly_divmod(r0, r1)
-            s2 = poly_sub(s0, poly_mul(q, s1))
-            r0, s0, r1, s1 = r1, s1, r2, s2
+        f = self.field
+        pden = lcm(*(c.denominator for c in f.poly))
+        r0 = [c.numerator * (pden // c.denominator) for c in f.poly]
+        r1 = [0] * (self._num[-1][0] + 1)
+        for e, c in self._num:
+            r1[e] = c
+        s0, k0, s1, k1 = [], 1, [1], 1
+        while len(r1) > 1:
+            q, r = _pseudo_divmod(r0, r1)
+            if not r:
+                raise NotInvertible(poly_monic(poly(r1)))
+            # lead**delta * r0 = q*r1 + r, so
+            # k0*k1*r = (lead**delta * k1*s0 - k0*q*s1) * num  mod P
+            scale = r1[-1] ** (len(r0) - len(r1) + 1) * k1
+            s = [scale * c for c in s0] + [0] * (len(q) + len(s1) - 1 - len(s0))
+            for i, a in enumerate(q):
+                for j, b in enumerate(s1):
+                    s[i + j] -= k0 * a * b
+            g = gcd(*r)
+            k = k0 * k1 * g
+            h = gcd(k, *s)
+            r0, s0, k0 = r1, s1, k1
+            r1, s1, k1 = [c // g for c in r], [c // h for c in s], k // h
+        den = k1 * r1[0]
+        if den < 0:
+            s1, den = [-c for c in s1], -den
+        return f._make({e: c * self._den for e, c in enumerate(s1)}, den)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -613,7 +625,7 @@ class AlgebraicNumber:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        acc = AlgebraicNumber(self.field, {0: QONE})
+        acc = AlgebraicNumber(self.field, ((0, 1),))
         base = self
         while n:
             if n & 1:
@@ -625,8 +637,10 @@ class AlgebraicNumber:
     # -- sign and comparisons -----------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign: gcd-based zero test, then interval refinement."""
-        if not self._items:
+        """Exact sign: gcd-based zero test, then interval refinement.
+
+        Only the numerator is evaluated: the denominator is positive."""
+        if not self._num:
             return 0
         f = self.field
         if f._exact is not None:
@@ -634,7 +648,7 @@ class AlgebraicNumber:
             return 0 if v == 0 else (1 if v > 0 else -1)
         zero_tested = False
         for _ in range(2):
-            lo, hi = f.enclose(self._items)
+            lo, hi, _ = f.enclose(self._num)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -646,7 +660,7 @@ class AlgebraicNumber:
                 if poly_deg(g) >= 1 and count_real_roots(g, f._lo, f._hi) >= 1:
                     return 0
                 zero_tested = True
-            lo, hi = f.enclose(self._items)
+            lo, hi, _ = f.enclose(self._num)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -657,23 +671,42 @@ class AlgebraicNumber:
         # equality of reduced representatives (the dedup contract); use
         # sign_of(a - b) for semantic equality of values
         if isinstance(other, AlgebraicNumber):
-            return self.field == other.field and self._items == other._items
+            return (self._num == other._num and self._den == other._den
+                    and self.field == other.field)
         if isinstance(other, (int, Q)):
             if other == 0:
-                return not self._items
-            return self._items == ((0, Q(other)),)
+                return not self._num
+            return (self._num == ((0, other.numerator),)
+                    and self._den == other.denominator)
         return NotImplemented
 
     def __hash__(self):
         if self._hash is None:
-            if len(self._items) <= 1 and (not self._items or self._items[0][0] == 0):
+            if len(self._num) <= 1 and (not self._num or self._num[0][0] == 0):
                 self._hash = hash(self.rational_value())
             else:
-                self._hash = hash((self.field, self._items))
+                self._hash = hash((self.field, self._num, self._den))
         return self._hash
 
     def __repr__(self):
         return format_number(self)
+
+
+def _pseudo_divmod(a: list, b: list) -> Tuple[list, list]:
+    """(q, r) for int polynomials (low to high, b nonconstant) with
+    lead(b)**(deg a - deg b + 1) * a = q*b + r, r trimmed to deg r < deg b."""
+    lead, db = b[-1], len(b) - 1
+    r, q = list(a), [0] * (len(a) - db)
+    for i in range(len(q) - 1, -1, -1):
+        c = r.pop()
+        r = [lead * x for x in r]
+        for j in range(db):
+            r[i + j] -= c * b[j]
+        q = [lead * x for x in q]
+        q[i] = c
+    while r and not r[-1]:
+        r.pop()
+    return q, r
 
 
 def sign_of(x) -> int:
@@ -704,10 +737,11 @@ def decimal_interval(x, width) -> Tuple[Q, Q]:
     if r is not None:
         return r, r
     f = x.field
-    while True:
-        lo, hi = f.enclose(x.items())
-        if hi - lo <= width:
-            return lo, hi
+    while True:  # enclose the numerator, then divide by the denominator
+        lo, hi, scale = f.enclose(x._num)
+        scale *= x._den
+        if hi - lo <= width * scale:
+            return Q(lo, scale), Q(hi, scale)
         f.refine()
 
 
@@ -742,7 +776,7 @@ def parse_number(tok: str, field: NumberField | None = None):
 def format_number(x) -> str:
     if isinstance(x, AlgebraicNumber):
         r = x.rational_value()
-        if r is not None and len(x._items) <= 1:
+        if r is not None and len(x._num) <= 1:
             return format_rational(r)
         coeffs = x.coeff_list()
         return "poly(" + ",".join(format_rational(c) for c in coeffs) + ")"

@@ -3,7 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exact_reference import compare_isolated_roots
+from exact_reference import (
+    compare_isolated_roots,
+    ref_add,
+    ref_format,
+    ref_inverse,
+    ref_mul,
+    ref_sign,
+    ref_sub,
+)
 from treebound.errors import (
     DivisionByZero,
     FieldMismatch,
@@ -21,12 +29,15 @@ from treebound.numeric import (
     nthroot_field,
     parse_field_header,
     parse_number,
+    poly,
     poly_from_string,
     poly_gcd,
     poly_mul,
+    poly_neg,
     poly_to_string,
     sign_of,
 )
+from treebound.geometry import hull_reduce
 
 rationals = st.builds(Q, st.integers(-60, 60), st.integers(1, 12))
 
@@ -148,6 +159,89 @@ def test_invert_examples(sqrt2_field, plastic_field):
     assert b.inverse() == sqrt2_field.element([0, Q(1, 2)])  # alpha/2
     with pytest.raises(DivisionByZero):
         sqrt2_field.from_rational(0).inverse()
+
+
+# -- differential check against dense polynomials over Q ------------------------
+
+# defining polynomial (low to high) and an interval isolating alpha
+REF_FIELDS = {
+    "sqrt2": ((-2, 0, 1), (1, 2)),
+    "matchings3": ((-1, 0, 0, -1, 1), (1, 2)),          # x^4 - x^3 - 1
+    "sqrt_half": ((Q(-1, 2), 0, 1), (0, 1)),            # x^2 - 1/2
+    "rational_cubic": ((Q(-1, 3), Q(-1, 2), 0, 1), (0, 1)),
+}
+
+
+def coeff_lists(deg):
+    c = st.one_of(st.just(Q(0)), st.builds(Q, st.integers(-30, 30),
+                                           st.integers(1, 9)))
+    return st.lists(c, min_size=deg, max_size=deg)
+
+
+@pytest.mark.parametrize("name", sorted(REF_FIELDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_arithmetic_agrees_with_dense_reference(name, data):
+    p, (lo, hi) = REF_FIELDS[name]
+    f = field_make(p, lo, hi)
+    P = poly(p)
+    ca = poly(data.draw(coeff_lists(f.degree)))
+    cb = poly(data.draw(coeff_lists(f.degree)))
+    r = data.draw(st.builds(Q, st.integers(-9, 9), st.integers(1, 5)))
+    a, b = f.element(ca), f.element(cb)
+    assert a.coeff_list() == ca
+    assert (a * b).coeff_list() == ref_mul(ca, cb, P)
+    assert (a * r).coeff_list() == ref_mul(ca, poly([r]), P)
+    assert (a + b).coeff_list() == ref_add(ca, cb)
+    assert (r - a).coeff_list() == ref_sub(poly([r]), ca)
+    assert (a - b).coeff_list() == ref_sub(ca, cb)
+    assert (-a).coeff_list() == poly_neg(ca)
+    assert sign_of(a) == ref_sign(ca, P, Q(lo), Q(hi))
+    assert sign_of(a - b) == ref_sign(ref_sub(ca, cb), P, Q(lo), Q(hi))
+    assert format_number(a) == ref_format(ca)
+    assert format_number(a * b) == ref_format(ref_mul(ca, cb, P))
+    if ca:
+        assert a.inverse().coeff_list() == ref_inverse(ca, P)
+
+
+# -- canonical representatives ------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(REF_FIELDS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_equal_values_have_equal_representatives(name, data):
+    p, (lo, hi) = REF_FIELDS[name]
+    f = field_make(p, lo, hi)
+    a, b, c = (f.element(data.draw(coeff_lists(f.degree))) for _ in range(3))
+    lhs, rhs = (a + b) * c, a * c + b * c
+    assert lhs == rhs and hash(lhs) == hash(rhs)
+    if not a.is_zero():
+        q = (b * a) / a
+        assert q == b and hash(q) == hash(b)
+    assert len({lhs, rhs, c * a + c * b}) == 1
+
+
+def test_rational_values_equal_and_hash_as_rationals(sqrt2_field):
+    a = sqrt2_field.alpha()
+    two, third, zero = a * a, (a / 3) * a / 2, a - a
+    assert two == 2 and hash(two) == hash(2)
+    assert third == Q(1, 3) and hash(third) == hash(Q(1, 3))
+    assert zero == 0 and hash(zero) == hash(0)
+    assert {two, third, zero} == {2, Q(1, 3), 0}
+    half = field_make((Q(-1, 2), 0, 1), 0, 1).alpha() ** 2
+    assert half == Q(1, 2) and hash(half) == hash(Q(1, 2))
+    assert format_number(half) == "1/2"
+
+
+def test_hull_reduce_dedups_field_vectors_computed_two_ways(sqrt2_field):
+    a = sqrt2_field.alpha()
+    v = (a, 2 - a)                                   # (1.414..., 0.585...)
+    w = (Q(1, 2), Q(1))
+    v_again = (a * a * a / 2, (a + 1) * (a - 1) * 2 - a)
+    assert v_again == v and hash(v_again) == hash(v)
+    kept = hull_reduce([v, w, v_again])
+    assert kept == [v, w] and kept[0] is v
 
 
 # -- sign_of ------------------------------------------------------------------
