@@ -15,6 +15,7 @@ from .numeric import (
     decimal_str,
     field_make,
     invert,
+    largest_real_root,
     nthroot_field,
     sign_of,
 )
@@ -31,7 +32,7 @@ from .search import (
     find_certificate,
     verify_certificate,
 )
-from .spectral import char_poly, eval_gadget, largest_real_root, lower_bound, transfer_matrix
+from .spectral import char_poly, eval_gadget, lower_bound, transfer_matrix
 from .oracle import bound_audit, max_count_via_levels, max_count_via_shapes
 
 __version__ = "0.1.0"

@@ -49,15 +49,23 @@ def parse_alpha_spec(spec: str):
         parts = body.rsplit(",", 2)
         if len(parts) != 3:
             raise ParseError(f"root(...) needs poly, lo, hi: {spec!r}")
-        p = poly_from_string(parts[0])
-        nf = field_make(p, parse_rational(parts[1]), parse_rational(parts[2]))
+        try:
+            p = poly_from_string(parts[0])
+            lo, hi = parse_rational(parts[1]), parse_rational(parts[2])
+        except ValueError:
+            raise ParseError(f"cannot parse root(...) spec {spec!r}") from None
+        nf = field_make(p, lo, hi)
         return nf.alpha(), nf
     if spec.startswith("nthroot(") and spec.endswith(")"):
         body = spec[8:-1]
         parts = body.split(",")
         if len(parts) != 2:
             raise ParseError(f"nthroot(...) needs value, n: {spec!r}")
-        x, n = parse_rational(parts[0]), int(parts[1])
+        try:
+            x, n = parse_rational(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"nthroot(...) needs a rational and an integer: "
+                             f"{spec!r}") from None
         if n == 1:
             return x, None
         nf = nthroot_field(x, n)
@@ -72,6 +80,17 @@ def _load_trimmed(path):
     """The system at path restricted to its accessible and co-accessible
     coordinates: what `bound` searches on, so what `verify` checks against."""
     return trim(load_system(path))[0]
+
+
+def positive_int(text: str) -> int:
+    """argparse type for counts, sizes and budgets: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return n
 
 
 def _write_out(text: str, path):
@@ -125,7 +144,8 @@ def cmd_bound(args) -> int:
         for k, val in result.growth_trace:
             print(f"  k = {k}: {decimal_str(val)}")
     if args.emit_certificate:
-        partial = Certificate(nf, alpha, result.vectors)
+        field = system.number_field if nf is None else nf
+        partial = Certificate(field, alpha, result.vectors)
         text = "# partial search state, resumable via --seed-file\n" \
             + format_certificate(partial)
         _write_out(text, args.emit_certificate)
@@ -137,8 +157,7 @@ def _verify_and_report(system, cert, alpha=None, claim=None) -> int:
     alpha = cert.alpha if alpha is None else alpha
     outcome = verify_certificate(system, alpha, cert.vectors)
     if isinstance(outcome, Valid):
-        shown = Certificate(cert.field, alpha, cert.vectors, cert.seeds,
-                            outcome.C, cert.coord_names)
+        shown = Certificate(cert.field, alpha, cert.vectors)
         print("certificate VALID")
         if cert.C is not None and sign_of(cert.C - outcome.C) != 0:
             print("  note: stated C differs from the derived C; "
@@ -275,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="p/q, root(poly,lo,hi), or nthroot(p/q,n)")
     p.add_argument("--seed-file", default=None,
                    help="certificate file whose vectors seed the search")
-    p.add_argument("--max-iter", type=int, default=10_000)
-    p.add_argument("--max-vectors", type=int, default=2_000)
+    p.add_argument("--max-iter", type=positive_int, default=10_000)
+    p.add_argument("--max-vectors", type=positive_int, default=2_000)
     p.add_argument("--emit-certificate", default=None, metavar="PATH")
     p.add_argument("--verify", default=None, metavar="PATH",
                    help="skip the search and verify this certificate at "
@@ -292,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force maximum counts")
     p.add_argument("--system", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=positive_int, required=True)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--shapes", action="store_true")
     g.add_argument("--levels", action="store_true")
@@ -303,11 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectral", help="transfer-matrix lower bound")
     p.add_argument("system", nargs="?")
     p.add_argument("--gadget", default=None)
-    p.add_argument("--count", type=int, default=None,
+    p.add_argument("--count", type=positive_int, default=None,
                    help="selections per block (degenerate 1x1 matrix)")
-    p.add_argument("--size", type=int, required=True,
+    p.add_argument("--size", type=positive_int, required=True,
                    help="tree vertices consumed per gadget iteration")
-    p.add_argument("--digits", type=int, default=6)
+    p.add_argument("--digits", type=positive_int, default=6)
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("fixtures", help="list or run the bundled examples")

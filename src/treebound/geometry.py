@@ -21,10 +21,6 @@ Vec = Tuple  # coordinates: ints, Fractions or AlgebraicNumbers
 
 # -- small vector helpers ----------------------------------------------------
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 

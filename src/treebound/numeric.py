@@ -22,6 +22,7 @@ from typing import Iterable, Sequence, Tuple
 from .errors import (
     DivisionByZero,
     FieldMismatch,
+    NoRealRoot,
     NoRootIsolated,
     NotInvertible,
     NotSquareFree,
@@ -455,18 +456,83 @@ def nthroot_field(x, n: int) -> NumberField:
     x = Q(x)
     if x <= 0 or n < 1:
         raise NoRootIsolated("nthroot needs a positive radicand and n >= 1")
-    p = [QZERO] * (n + 1)
-    p[0], p[n] = -x, QONE
-    lo, hi = QZERO, max(QONE, x) + 1
-    while hi - lo > 1:  # shrink toward the root before isolating
+    return power_root_field(NumberField((-x, 1), 0, x + 1), n, 1)
+
+
+# ---------------------------------------------------------------------------
+# Real roots: the largest real root of a polynomial, and s-th roots of a
+# positive field generator.
+# ---------------------------------------------------------------------------
+
+def largest_real_root(p: Sequence, precision) -> Tuple[NumberField, Tuple[Q, Q]]:
+    """Isolate the largest real root of p to the requested interval width.
+
+    Returns a NumberField anchored at that root (defining polynomial: the
+    square-free part of p) together with the isolating interval.
+    """
+    p = poly(p)
+    if poly_deg(p) < 1:
+        raise NoRealRoot("polynomial is constant")
+    sf = poly_squarefree(p)
+    chain = sturm_chain(sf)
+    bound = root_bound(sf)
+    lo, hi = -bound, bound
+    if sturm_count(chain, lo, hi) == 0:
+        raise NoRealRoot(poly_to_string(p))
+    # keep the upper part while it still contains a root
+    while sturm_count(chain, lo, hi) > 1:
         mid = (lo + hi) / 2
-        if mid ** n < x:
+        while poly_eval(sf, mid) == 0:  # never bisect exactly on a root
+            mid = (mid + hi) / 2
+        if sturm_count(chain, mid, hi) >= 1:
             lo = mid
-        elif mid ** n > x:
-            hi = mid
         else:
-            return field_make(p, mid - Q(1, 2), mid + Q(1, 2))
-    return field_make(p, lo, hi)
+            hi = mid
+    # exactly one simple root strictly inside, and neither end is a root
+    field = NumberField(sf, lo, hi, _checked=True)
+    return field, field.refine_to_width(precision)
+
+
+def power_root_field(lam: NumberField, s: int, width) -> NumberField:
+    """Field for beta = lambda**(1/s), lambda the root lam selects, which
+    must be positive: its defining polynomial is lam.poly(x**s) and its
+    isolating interval has width <= `width`.
+
+    Refines lam until its interval (la, lb) is positive, then bisects
+    t -> t**s against it, keeping ba**s <= la and bb**s >= lb; both stay
+    true as a midpoint inside (la, lb) refines lam, so the bisection goes on
+    from the bracket it had reached.  When mid**s is exactly lambda, beta is
+    mid and the interval is centred on it.
+    """
+    composed = poly_compose_power(lam.poly, s)
+    la, lb = lam.interval()
+    while la <= 0:
+        if lb <= 0:
+            raise NoRealRoot(f"root of {poly_to_string(lam.poly)} is not positive")
+        lam.refine()
+        la, lb = lam.interval()
+    width = Q(width)
+    ba, bb = QZERO, max(QONE, lb) + 1
+    while bb - ba > width:
+        mid = (ba + bb) / 2
+        ms = mid ** s
+        if ms <= la:
+            if ms == lb:  # ms == la == lb: lambda is exactly mid**s
+                ba, bb = mid - width / 2, mid + width / 2
+                break
+            ba = mid
+        elif ms >= lb:
+            bb = mid
+        else:
+            lam.refine()
+            la, lb = lam.interval()
+    # A root t of lam.poly(x**s) in (ba, bb) has t**s in (ba**s, bb**s), so
+    # (ba, bb) isolates beta when lambda is lam.poly's only root there.
+    las, lbs = ba ** s, bb ** s
+    if not (ba >= 0 and las <= la and lb <= lbs
+            and sturm_count(sturm_chain(lam.poly), las, lbs) == 1):
+        raise AssertionError("power-root bracket failed its isolation check")
+    return NumberField(composed, ba, bb, _checked=True)
 
 
 # ---------------------------------------------------------------------------

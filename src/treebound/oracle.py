@@ -114,13 +114,11 @@ class AuditReport:
         return "\n".join(out)
 
 
-def bound_audit(s: BilinearSystem, cert: Certificate, kmax: int,
-                prune: bool = True) -> AuditReport:
-    """Assert max_count_via_levels(k) <= C*alpha^k exactly for k <= kmax."""
-    from .search import certificate_constant
-
-    C = cert.C if cert.C is not None else certificate_constant(s, cert.vectors)
-    levels = bk_levels(s, kmax, prune=prune)
+def bound_audit(s: BilinearSystem, cert: Certificate, kmax: int) -> AuditReport:
+    """Assert max_count_via_levels(k) <= C*alpha^k exactly for k <= kmax,
+    with C derived from the vectors as verify derives it (cert.C is unused)."""
+    C = level_max(s, cert.vectors)
+    levels = bk_levels(s, kmax)
     lines = []
     power = 1
     for k in range(1, kmax + 1):

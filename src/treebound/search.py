@@ -42,14 +42,13 @@ from .numeric import (
     parse_number,
     sign_of,
 )
-from .system import BilinearSystem, apply, bk_levels, level_max, objective
+from .system import BilinearSystem, apply, bk_levels, level_max
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     max_iterations: int = 10_000
     max_vectors: int = 2_000
-    extrapolate: bool = True
 
     def __post_init__(self):
         if self.max_iterations < 1 or self.max_vectors < 1:
@@ -92,15 +91,6 @@ class Invalid:
     pair: Optional[Tuple[Vec, Vec]] = None
 
 
-def certificate_constant(s: BilinearSystem, vectors: Sequence[Vec]):
-    best = None
-    for v in vectors:
-        val = objective(s, v)
-        if best is None or sign_of(val - best) > 0:
-            best = val
-    return best
-
-
 def verify_certificate(s: BilinearSystem, alpha, vectors: Sequence[Vec]):
     """Independent check of the two closure conditions; shares no search state.
 
@@ -124,7 +114,7 @@ def verify_certificate(s: BilinearSystem, alpha, vectors: Sequence[Vec]):
             p = apply(s, x, y)
             if not member_dominated_hull(p, vectors):
                 return Invalid(p, "product", (x, y))
-    return Valid(certificate_constant(s, vectors))
+    return Valid(level_max(s, vectors))
 
 
 # -- the fixed-point search -------------------------------------------------------
@@ -163,6 +153,8 @@ def find_certificate(s: BilinearSystem, alpha, seeds: Sequence[Vec] = (),
 
     Returns Found(certificate) at the fixed point, else BudgetExhausted with
     the partial vector set (usable as seeds to resume) and a growth trace.
+    The certificate names number_field, or else the system's own field, so
+    that its poly(...) entries parse back.
     """
     if sign_of(alpha) <= 0:
         raise NonPositiveScale("alpha must be positive")
@@ -186,8 +178,9 @@ def find_certificate(s: BilinearSystem, alpha, seeds: Sequence[Vec] = (),
                 else:
                     escapes.append((p, x, y))
         if not escapes:
-            cert = Certificate(number_field, alpha, tuple(X), tuple(seeds),
-                               certificate_constant(s, X), s.coord_names)
+            field = s.number_field if number_field is None else number_field
+            cert = Certificate(field, alpha, tuple(X), tuple(seeds),
+                               level_max(s, X), s.coord_names)
             return Found(cert, iterations)
         added: List[Vec] = []
         seen = set(X)
@@ -196,8 +189,6 @@ def find_certificate(s: BilinearSystem, alpha, seeds: Sequence[Vec] = (),
                 seen.add(p)
                 added.append(p)
                 provenance[p] = (x, y)
-            if not cfg.extrapolate:
-                continue
             for u, v in _chain_tail(provenance, p, x, y):
                 limit = _geometric_limit(u, v, p)
                 if limit is not None and limit not in seen:
@@ -257,7 +248,7 @@ def upper_bound_report(s: BilinearSystem, cert: Certificate,
     lines.append(f"upper bound: count(n) <= C * alpha^n for all n")
     lines.append(f"  alpha = {format_number(cert.alpha)}"
                  f"  ~ {decimal_str(cert.alpha, digits)}")
-    C = cert.C if cert.C is not None else certificate_constant(s, cert.vectors)
+    C = level_max(s, cert.vectors)
     lines.append(f"  C     = {format_number(C)}  ~ {decimal_str(C, digits)}")
     lines.append(f"  certificate vectors: {len(cert.vectors)}")
     for n in n_samples:

@@ -1,5 +1,5 @@
-"""Lower bounds from periodic constructions: gadgets, transfer matrices,
-characteristic polynomials, and largest-real-root isolation.
+"""Lower bounds from periodic constructions: gadgets, transfer matrices and
+characteristic polynomials.
 
 A gadget is an expression over B and V0 with one recursion hole; because the
 hole occurs once, plugging vectors into it is a linear map whose matrix M we
@@ -11,7 +11,7 @@ iteration turns it into the bound (largest real root)^(1/gadget_size).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import (
     DimensionMismatch,
@@ -27,17 +27,10 @@ from .numeric import (
     QONE,
     QZERO,
     decimal_str,
-    poly,
-    poly_compose_power,
-    poly_deg,
-    poly_eval,
-    poly_squarefree,
-    poly_to_string,
+    largest_real_root,
     poly_trim,
-    root_bound,
+    power_root_field,
     sign_of,
-    sturm_chain,
-    sturm_count,
 )
 from .system import BilinearSystem, apply
 
@@ -78,12 +71,6 @@ class SquareMatrix:
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    def row(self, i: int) -> Tuple:
-        return self.entries[i]
-
-    def col(self, j: int) -> Tuple:
-        return tuple(r[j] for r in self.entries)
 
     def mul_vec(self, v):
         return tuple(sum((a * b for a, b in zip(r, v)), QZERO)
@@ -134,52 +121,6 @@ def char_poly(m: SquareMatrix) -> Poly:
     if n % 2 == 1:
         monic = tuple(-c for c in monic)
     return poly_trim(monic)
-
-
-# -- real root isolation ----------------------------------------------------------
-
-
-def largest_real_root(p: Sequence, precision) -> Tuple[NumberField, Tuple[Q, Q]]:
-    """Isolate the largest real root of p to the requested interval width.
-
-    Returns a NumberField anchored at that root (defining polynomial: the
-    square-free part of p) together with the isolating interval.
-    """
-    p = poly(p)
-    if poly_deg(p) < 1:
-        raise NoRealRoot("polynomial is constant")
-    sf = poly_squarefree(p)
-    chain = sturm_chain(sf)
-    bound = root_bound(sf)
-    lo, hi = -bound, bound
-    total = sturm_count(chain, lo, hi)
-    if total == 0:
-        raise NoRealRoot(poly_to_string(p))
-
-    def nonroot_between(a, b):
-        m = (a + b) / 2
-        while poly_eval(sf, m) == 0:  # never bisect exactly on a root
-            m = (m + b) / 2
-        return m
-
-    # keep the upper part while it still contains a root
-    while sturm_count(chain, lo, hi) > 1:
-        mid = nonroot_between(lo, hi)
-        if sturm_count(chain, mid, hi) >= 1:
-            lo = mid
-        else:
-            hi = mid
-    # exactly one simple root strictly inside: refine by sign bisection
-    precision = Q(precision)
-    sign_lo = sign_of(poly_eval(sf, lo))
-    while hi - lo > precision:
-        mid = nonroot_between(lo, hi)
-        if sign_of(poly_eval(sf, mid)) == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    field = NumberField(sf, lo, hi, _checked=True)
-    return field, (lo, hi)
 
 
 # -- primitivity and the lower bound ------------------------------------------------
@@ -241,31 +182,6 @@ class LowerBound:
         return decimal_str(self.field.alpha(), digits)
 
 
-def _isolate_power_root(lam_field: NumberField, s: int, precision
-                        ) -> Tuple[Q, Q]:
-    """Width-`precision` bracket (ba, bb) of lambda**(1/s), where lam_field
-    isolates lambda in (la, lb) with la > 0.
-
-    Bisects t -> t**s against (la, lb), keeping ba**s <= la and bb**s >= lb.
-    Both stay true as refinement narrows (la, lb), so after a refinement the
-    bisection goes on from the bracket it had reached.
-    """
-    precision = Q(precision)
-    la, lb = lam_field.interval()
-    ba, bb = QZERO, max(QONE, lb) + 1
-    while bb - ba > precision:
-        mid = (ba + bb) / 2
-        ms = mid ** s
-        if ms <= la:
-            ba = mid
-        elif ms >= lb:
-            bb = mid
-        else:
-            lam_field.refine()
-            la, lb = lam_field.interval()
-    return ba, bb
-
-
 def lower_bound(s: BilinearSystem, g: Gadget, gadget_size: int,
                 precision=Q(1, 10 ** 30)) -> LowerBound:
     """beta = (largest real root of char_poly(transfer_matrix))^(1/gadget_size)."""
@@ -284,51 +200,15 @@ def lower_bound_from_matrix(m: SquareMatrix, gadget_size: int,
     p = char_poly(m)
     core = _drop_dead_indices(m)
     primitive = core.n > 0 and is_primitive(core)
-    # strip roots at 0, then the square-free part; composing with x**size
-    # keeps it square-free because all remaining roots are nonzero
-    shift = 0
-    q = list(p)
+    q = list(p)  # strip the roots at 0, so q(x**size) stays square-free
     while q and q[0] == 0:
         q.pop(0)
-        shift += 1
     if not q:
         raise NoRealRoot("characteristic polynomial is a power of x")
-    qsf = poly_squarefree(q)
-    lam_field, _ = largest_real_root(qsf, Q(1, 10 ** 9))
-    while True:  # the bound only makes sense for a positive dominant root
-        la, lb = lam_field.interval()
-        if la > 0:
-            break
-        if lb < 0:
-            raise NoRealRoot("largest real eigenvalue is not positive")
-        lam_field.refine()
-    ba, bb = _isolate_power_root(lam_field, gadget_size, precision)
-    composed = poly_compose_power(qsf, gadget_size)
-    # (ba, bb) isolates beta inside composed: the real roots of composed are
-    # the real gadget_size-th roots of qsf's real roots, and every other one
-    # is separated from (ba, bb) because lambda is the largest root and the
-    # bracket was built against lambda's own isolating interval.  Verify the
-    # separation explicitly so the field construction stays checked.
-    _verify_isolation(qsf, lam_field, gadget_size, ba, bb)
-    field = NumberField(composed, ba, bb, _checked=True)
-    return LowerBound(field, (ba, bb), gadget_size, p, m, primitive)
-
-
-def _verify_isolation(q: Poly, lam_field: NumberField, s: int, ba: Q, bb: Q):
-    """Check (ba, bb) isolates the s-th root of lambda inside q(x**s).
-
-    Every t in (ba, bb) is nonnegative (ba >= 0 by construction), so a root
-    of q(x**s) there satisfies t**s in (ba**s, bb**s); it suffices that q's
-    only real root in that range is lambda itself.
-    """
-    if ba < 0:
-        raise AssertionError("power-root bracket must be nonnegative")
-    chain = sturm_chain(q)
-    las, lbs = ba ** s, bb ** s
-    inside = sturm_count(chain, las, lbs)
-    la, lb = lam_field.interval()
-    if not (inside == 1 and las <= la and lb <= lbs):
-        raise AssertionError("power-root bracket failed its isolation check")
+    lam, _ = largest_real_root(q, Q(1, 10 ** 9))
+    field = power_root_field(lam, gadget_size, precision)
+    return LowerBound(field, field.original_interval, gadget_size, p, m,
+                      primitive)
 
 
 # -- gadget file format ---------------------------------------------------------

@@ -318,8 +318,9 @@ def test_criterion_8_property_spotchecks(sqrt2_field, pad_dead_coordinate):
     r2 = find_certificate(system, cert.alpha, number_field=cert.field)
     assert r1.certificate.vectors == r2.certificate.vectors
 
-    tampered = Certificate(cert.field, cert.alpha, cert.vectors, (),
-                           cert.C * Q(1, 2))
+    tampered = Certificate(cert.field, cert.alpha,  # derived C halves too
+                           tuple(tuple(c * Q(1, 2) for c in v)
+                                 for v in cert.vectors))
     with pytest.raises(AuditFailure):
         bound_audit(system, tampered, 6)
     report("8", "field axioms, simplex exactness, bilinearity, scaling, trim "

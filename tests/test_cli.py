@@ -1,5 +1,9 @@
 """CLI surface: subcommands, exit codes, file round-trips."""
 
+from fractions import Fraction
+import re
+
+import pytest
 
 from treebound import fixtures as fixreg
 from treebound.cli import main, parse_alpha_spec
@@ -123,6 +127,26 @@ def test_bound_emit_then_verify_padded_system(tmp_path, capsys):
                  "--audit", str(cert)]) == 0
 
 
+def test_bound_emit_then_verify_system_with_field(tmp_path, capsys):
+    # a field: header in the system and a rational alpha: the emitted file
+    # names the system's field, so its poly(...) entries parse back
+    system = tmp_path / "field.system"
+    system.write_text("field: -2,0,1 ; interval 1 2\n"
+                      + fixreg.read_data("indep_dom.system")
+                      .replace("term 2 2 1\n", "term 2 2 1 poly(0,1)\n"))
+    cert = tmp_path / "c.cert"
+    assert main(["bound", str(system), "--alpha", "2",
+                 "--emit-certificate", str(cert)]) == 0
+    assert cert.read_text().startswith("field: -2,0,1 ; interval 1 2\n")
+    capsys.readouterr()
+    assert main(["verify", str(system), str(cert)]) == 0
+    assert "certificate VALID" in capsys.readouterr().out
+    partial = tmp_path / "partial.cert"
+    assert main(["bound", str(system), "--alpha", "2", "--max-iter", "1",
+                 "--emit-certificate", str(partial)]) == 1
+    assert load_certificate(partial).field is not None
+
+
 def test_bound_verify_flag(capsys):
     rc = main(["bound", data("indep_dom.system"),
                "--alpha", "root(x^2-2,1,2)",
@@ -144,6 +168,19 @@ def test_oracle_cli_audit(capsys):
     assert "k = 8" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("stated", ["C 1000000", "C 1/1000"])
+def test_audit_derives_C_and_ignores_the_stated_one(tmp_path, capsys, stated):
+    args = ["oracle", "--system", data("min_perfect_dom.system"), "--k", "8",
+            "--audit"]
+    assert main(args + [data("min_perfect_dom.cert")]) == 0
+    honest = capsys.readouterr().out
+    tampered = tmp_path / "tampered.cert"
+    tampered.write_text(re.sub(r"(?m)^C .*$", stated,
+                               fixreg.read_data("min_perfect_dom.cert")))
+    assert main(args + [str(tampered)]) == 0
+    assert capsys.readouterr().out == honest
+
+
 def test_spectral_cli_gadget(capsys):
     rc = main(["spectral", data("max_induced_matchings.system"),
                "--gadget", data("max_induced_matchings.gadget"),
@@ -157,6 +194,38 @@ def test_spectral_cli_direct_count(capsys):
     rc = main(["spectral", "--count", "48", "--size", "9"])
     assert rc == 0
     assert "1.53746" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("count,size,beta", [
+    ("3", "1", "3.000000"), ("1", "3", "1.000000")])
+def test_spectral_cli_exact_root(capsys, count, size, beta):
+    # lambda is an integer and mid**size hits it exactly during bisection
+    assert main(["spectral", "--count", count, "--size", size]) == 0
+    out = capsys.readouterr().out
+    assert f"~ {beta}" in out
+    lo, hi = map(Fraction, re.search(r"bracket: \[(\S+), (\S+)\]", out).groups())
+    assert lo < Fraction(beta) < hi and hi - lo <= Fraction(1, 10 ** 30)
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--system", data("indep_dom.system"), "--k", "0"],
+    ["oracle", "--system", data("indep_dom.system"), "--k", "-3", "--shapes"],
+    ["spectral", "--count", "3", "--size", "0"],
+    ["spectral", "--count", "0", "--size", "3"],
+    ["spectral", "--count", "3", "--size", "7", "--digits", "-1"],
+    ["bound", data("indep_dom.system"), "--alpha", "3/2", "--max-iter", "0"],
+    ["bound", data("indep_dom.system"), "--alpha", "3/2",
+     "--max-vectors", "0"],
+    ["bound", data("indep_dom.system"), "--alpha", "nthroot(3,x)"],
+    ["bound", data("indep_dom.system"), "--alpha", "root(x^2-2,a,2)"],
+])
+def test_bad_input_exits_2_without_traceback(capsys, argv):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects the value
+        rc = exc.code
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_fixtures_list(capsys):

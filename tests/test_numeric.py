@@ -123,6 +123,20 @@ def test_reduction_of_powers(plastic_field):
     assert a * (a * a) == a + 1  # alpha^3 = alpha + 1
 
 
+@pytest.mark.parametrize("x,n,header", [
+    (1, 3, "field: -1,0,0,1 ; interval 1/2 3/2"),  # exact: mid**n == x
+    (Q(9, 4), 2, "field: -9/4,0,1 ; interval 13/16 13/8"),
+    (Q(1, 4), 2, "field: -1/4,0,1 ; interval 0 1"),
+    (3, 7, "field: -3,0,0,0,0,0,0,1 ; interval 1 2"),
+    (13, 9, "field: -13,0,0,0,0,0,0,0,0,1 ; interval 7/8 7/4"),
+    (939524096, 9, "field: -939524096,0,0,0,0,0,0,0,0,1 ; "
+                   "interval 10334765067/1073741824 2818572291/268435456"),
+])
+def test_nthroot_field_header(x, n, header):
+    # emitted certificates carry this header, so it must not drift
+    assert nthroot_field(x, n).header() == header
+
+
 def test_perfect_codes_entry_addition():
     f = nthroot_field(3, 7)
     third_a6 = f.element([0, 0, 0, 0, 0, 0, Q(1, 3)])

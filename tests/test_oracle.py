@@ -124,9 +124,10 @@ def test_audit_perfect_codes(fx):
 
 
 def test_audit_catches_corrupted_c(indep_dom_system, indep_dom_cert):
+    # the audit derives C from the vectors: halving them halves C
     tampered = Certificate(indep_dom_cert.field, indep_dom_cert.alpha,
-                           indep_dom_cert.vectors, indep_dom_cert.seeds,
-                           indep_dom_cert.C * Q(1, 2))
+                           tuple(tuple(c * Q(1, 2) for c in v)
+                                 for v in indep_dom_cert.vectors))
     with pytest.raises(AuditFailure) as e:
         bound_audit(indep_dom_system, tampered, 10)
     assert e.value.k <= 3

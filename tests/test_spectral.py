@@ -7,18 +7,20 @@ import pytest
 from exact_reference import cayley_hamilton_check, compare_isolated_roots
 from treebound.errors import MultipleHoles, NegativeEntry, NoRealRoot
 from treebound.numeric import (
+    NumberField,
     Q,
     count_real_roots,
     decimal_str,
+    largest_real_root,
     poly_divmod,
     poly_eval,
+    power_root_field,
     sign_of,
 )
 from treebound.spectral import (
     SquareMatrix,
     char_poly,
     eval_gadget,
-    largest_real_root,
     lower_bound,
     lower_bound_from_matrix,
     parse_gadget,
@@ -163,6 +165,17 @@ def test_largest_picks_largest():
     p = (Q(-6), Q(11), Q(-6), Q(1))
     field, (lo, hi) = largest_real_root(p, Q(1, 1000))
     assert lo < 3 < hi or (sign_of(field.alpha() - 3) == 0)
+
+
+def test_power_root_field_needs_a_positive_root():
+    # root 1/2 isolated on (-1/3, 1): lam is refined until its interval is
+    # positive; root -2 of x + 2 has no real square root to bracket
+    beta = power_root_field(NumberField((Q(-1, 4), 0, 1), Q(-1, 3), 1), 2,
+                            Q(1, 10 ** 6))
+    lo, hi = beta.original_interval
+    assert lo * lo < Q(1, 2) < hi * hi and hi - lo <= Q(1, 10 ** 6)
+    with pytest.raises(NoRealRoot):
+        power_root_field(NumberField((2, 1), -3, -1), 2, Q(1, 10 ** 6))
 
 
 def test_sturm_counts_known_roots():
