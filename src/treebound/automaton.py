@@ -108,19 +108,6 @@ def parse_automaton(text: str) -> TreeAutomaton:
     return TreeAutomaton(states, frozenset(finals), leaf0, leaf1, trans)
 
 
-def format_automaton(a: TreeAutomaton) -> str:
-    lines = ["states " + " ".join(a.states)]
-    if a.finals:
-        lines.append("final " + " ".join(q for q in a.states if q in a.finals))
-    if a.leaf0 is not None:
-        lines.append(f"leaf0 {a.leaf0}")
-    if a.leaf1 is not None:
-        lines.append(f"leaf1 {a.leaf1}")
-    for (q1, q2), q in a.trans.items():
-        lines.append(f"trans {q1} {q2} -> {q}")
-    return "\n".join(lines) + "\n"
-
-
 # -- evaluation ---------------------------------------------------------------
 
 
@@ -173,14 +160,6 @@ def shape_leaves(shape: Shape) -> int:
     if shape is None:
         return 1
     return shape_leaves(shape[0]) + shape_leaves(shape[1])
-
-
-def path_shape(k: int) -> Shape:
-    """The comb shape with k leaves: J(bot, J(bot, ...)), i.e. the path P_k."""
-    shape: Shape = None
-    for _ in range(k - 1):
-        shape = (None, shape)
-    return shape
 
 
 def select_leaves(shape: Shape, flags, pos: int = 0) -> Tuple[TreeTerm, int]:

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import fixtures as fixreg
-from .errors import ParseError, TreeboundError
+from .errors import NoRootIsolated, NotSquareFree, ParseError, TreeboundError
 from .numeric import (
     Q,
     decimal_str,
@@ -24,7 +24,12 @@ from .numeric import (
     poly_to_string,
     sign_of,
 )
-from .oracle import bound_audit, max_count_via_levels, max_count_via_shapes_system
+from .oracle import (
+    DEFAULT_SHAPE_CAP,
+    bound_audit,
+    max_count_via_levels,
+    max_count_via_shapes_system,
+)
 from .search import (
     Certificate,
     Found,
@@ -42,8 +47,21 @@ from .automaton import compile as compile_automaton, parse_automaton
 
 
 def parse_alpha_spec(spec: str):
-    """`p/q`, `root(poly, lo, hi)`, or `nthroot(p/q, n)` -> (value, field|None)."""
+    """`p/q`, `root(poly, lo, hi)`, or `nthroot(p/q, n)` -> (value, field|None).
+
+    A spec that names no positive real is a ParseError, as one that does not
+    parse is."""
     spec = spec.strip()
+    try:
+        alpha, nf = _alpha_from_spec(spec)
+    except (NoRootIsolated, NotSquareFree) as exc:
+        raise ParseError(f"alpha spec {spec!r}: {exc}") from None
+    if sign_of(alpha) <= 0:
+        raise ParseError(f"alpha must be positive: {spec!r}")
+    return alpha, nf
+
+
+def _alpha_from_spec(spec: str):
     if spec.startswith("root(") and spec.endswith(")"):
         body = spec[5:-1]
         parts = body.rsplit(",", 2)
@@ -345,6 +363,10 @@ def main(argv=None) -> int:
     if args.command == "spectral" and args.count is None and (
             args.system is None or args.gadget is None):
         ap.error("spectral needs either --count or a system and --gadget")
+    if (args.command == "oracle" and not (args.levels or args.audit)
+            and args.k > DEFAULT_SHAPE_CAP):
+        ap.error(f"the shape route takes --k <= {DEFAULT_SHAPE_CAP}; "
+                 "use --levels for larger k")
     try:
         return args.func(args)
     except ParseError as exc:

@@ -165,11 +165,6 @@ def load_fixture_certificate(f: Fixture):
     return parse_certificate(read_data(f.certificate))
 
 
-def load_fixture_automaton(f: Fixture):
-    from ..automaton import parse_automaton
-    return parse_automaton(read_data(f.automaton))
-
-
 def load_fixture_gadget(f: Fixture):
     from ..spectral import parse_gadget
     return parse_gadget(read_data(f.gadget))

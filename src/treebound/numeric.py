@@ -1,12 +1,16 @@
 """Exact arithmetic over Q and over real algebraic number fields Q(alpha).
 
 A field is Q[x]/P(x) together with a rational interval (lo, hi) isolating one
-real root alpha of P.  Elements are polynomials in alpha reduced mod P, stored
-as sparse integer numerators over one positive denominator, in lowest terms,
-so equal values have equal representatives.  Signs of nonzero elements are
-decided by evaluating the numerator on the isolating interval and bisecting
-it as needed; the exact zero test goes through gcd with P, so sign queries
-always terminate.
+real root alpha of P, P stored as a primitive integer polynomial.  Elements
+are polynomials in alpha reduced mod P, stored as sparse integer numerators
+over one positive denominator, in lowest terms, so equal values have equal
+representatives.  Signs of nonzero elements are decided by evaluating the
+numerator on the isolating interval and bisecting it as needed; the exact
+zero test goes through gcd with P, so sign queries always terminate.
+
+All polynomial work (gcds, square-free parts, Sturm chains, inverses) runs on
+integer coefficients through one pseudo-division routine, and polynomials
+are evaluated at a rational n/d in integers, scaled by a power of d.
 
 Pure rationals are plain ``fractions.Fraction`` values; they mix freely with
 field elements, so rational-only computations never pay for polynomial
@@ -45,111 +49,93 @@ def format_rational(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomial helpers over Q (coefficients low-to-high).
+# Dense polynomials, coefficients low-to-high.  Rational ones are only parsed
+# and printed; every computation runs on integer ones, by pseudo-division.
 # ---------------------------------------------------------------------------
 
 Poly = Tuple[Q, ...]
 
 
-def poly(coeffs: Iterable) -> Poly:
-    return poly_trim([Q(c) for c in coeffs])
-
-
-def poly_trim(coeffs: Sequence) -> Poly:
+def poly_trim(coeffs: Sequence) -> tuple:
     n = len(coeffs)
     while n > 0 and coeffs[n - 1] == 0:
         n -= 1
     return tuple(coeffs[:n])
 
 
-def poly_deg(p: Sequence) -> int:
-    """Degree, with deg 0 = -1 by convention."""
-    return len(p) - 1
-
-
-def poly_neg(a: Sequence) -> Poly:
-    return tuple(-c for c in a)
-
-
-def poly_mul(a: Sequence, b: Sequence) -> Poly:
-    if not a or not b:
+def int_poly(coeffs: Iterable) -> Tuple[int, ...]:
+    """The primitive integer polynomial with positive leading coefficient
+    that is a rational multiple of coeffs; () for the zero polynomial."""
+    cs = poly_trim([Q(c) for c in coeffs])
+    if not cs:
         return ()
-    out = [QZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            if cb != 0:
-                out[i + j] += ca * cb
-    return poly_trim(out)
+    den = lcm(*(c.denominator for c in cs))
+    return _canonical([c.numerator * (den // c.denominator) for c in cs])
 
 
-def poly_divmod(a: Sequence, b: Sequence) -> Tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    db, lead = len(b) - 1, b[-1]
-    quo = [QZERO] * max(0, len(a) - db)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        f = c / lead
-        quo[i - db] = f
-        rem[i] = QZERO
+def _primitive(a: list) -> list:
+    """a divided by the positive gcd of its coefficients: signs are kept."""
+    g = gcd(*a)
+    return a if g <= 1 else [c // g for c in a]
+
+
+def _canonical(a: list) -> Tuple[int, ...]:
+    """The primitive multiple of a with positive leading coefficient."""
+    a = _primitive(a)
+    return tuple(a) if not a or a[-1] > 0 else tuple(-c for c in a)
+
+
+def _monic(a: Sequence) -> Poly:
+    """The monic rational multiple of a nonzero int polynomial."""
+    return tuple(Q(c, a[-1]) for c in a)
+
+
+def _pseudo_divmod(a: Sequence, b: Sequence) -> Tuple[list, list]:
+    """(q, r) for int polynomials (b nonzero) with
+    lead(b)**(deg a - deg b + 1) * a = q*b + r, r trimmed to deg r < deg b."""
+    lead, db = b[-1], len(b) - 1
+    r, q = list(a), [0] * (len(a) - db)
+    for i in range(len(q) - 1, -1, -1):
+        c = r.pop()
+        r = [lead * x for x in r]
         for j in range(db):
-            rem[i - db + j] -= f * b[j]
-    return poly_trim(quo), poly_trim(rem)
+            r[i + j] -= c * b[j]
+        q = [lead * x for x in q]
+        q[i] = c
+    while r and not r[-1]:
+        r.pop()
+    return q, r
 
 
-def poly_monic(a: Sequence) -> Poly:
-    if not a:
-        return ()
-    lead = a[-1]
-    if lead == 1:
-        return tuple(a)
-    return tuple(c / lead for c in a)
-
-
-def poly_gcd(a: Sequence, b: Sequence) -> Poly:
-    """Monic gcd via the Euclidean algorithm over Q."""
-    a, b = poly_trim(list(a)), poly_trim(list(b))
+def primitive_gcd(a: Sequence, b: Sequence) -> Tuple[int, ...]:
+    """gcd of int polynomials by the primitive remainder sequence (Collins
+    1967): primitive, with positive leading coefficient."""
+    a, b = list(a), _primitive(list(b))
     while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    return poly_monic(a)
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    return _canonical(a)
 
 
-def poly_deriv(a: Sequence) -> Poly:
-    return poly_trim([a[i] * i for i in range(1, len(a))])
+def _deriv(a: Sequence) -> list:
+    return [i * a[i] for i in range(1, len(a))]
 
 
-def poly_eval(a: Sequence, x) -> Q:
-    acc = QZERO
+def squarefree_part(a: Sequence) -> Tuple[int, ...]:
+    """a / gcd(a, a') for a nonzero int polynomial a, made primitive with a
+    positive leading coefficient."""
+    g = primitive_gcd(a, _deriv(a))
+    q = _pseudo_divmod(a, g)[0] if len(g) > 1 else list(a)
+    return _canonical(q)
+
+
+def _hval(a: Sequence, n: int, d: int) -> int:
+    """d**deg(a) * a(n/d) by homogeneous Horner, for d > 0: an integer with
+    the sign of a at n/d."""
+    acc, dk = 0, 1
     for c in reversed(a):
-        acc = acc * x + c
+        acc = acc * n + c * dk
+        dk *= d
     return acc
-
-
-def poly_squarefree(a: Sequence) -> Poly:
-    """Square-free part a / gcd(a, a')."""
-    g = poly_gcd(a, poly_deriv(a))
-    if poly_deg(g) < 1:
-        return poly_monic(a)
-    q, _ = poly_divmod(a, g)
-    return poly_monic(q)
-
-
-def poly_compose_power(a: Sequence, s: int) -> Poly:
-    """a(x**s): spread coefficients s apart."""
-    if s < 1:
-        raise ValueError("power must be >= 1")
-    if not a:
-        return ()
-    out = [QZERO] * ((len(a) - 1) * s + 1)
-    for i, c in enumerate(a):
-        out[i * s] = c
-    return poly_trim(out)
 
 
 def poly_from_string(text: str) -> Poly:
@@ -207,41 +193,39 @@ def poly_to_string(a: Sequence, var: str = "x") -> str:
 # Sturm sequences and real-root counting.
 # ---------------------------------------------------------------------------
 
-def sturm_chain(p: Sequence) -> Tuple[Poly, ...]:
-    p = poly_trim(list(p))
-    chain = [p, poly_deriv(p)]
-    while chain[-1]:
-        _, r = poly_divmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(poly_neg(r))
-    return tuple(c for c in chain if c)
+def sturm_chain(p: Sequence) -> Tuple[tuple, ...]:
+    """Sturm sequence of a nonzero int polynomial p: p, p', and then, for
+    each last two members a, b, a positive multiple of -rem(a, b).
+
+    The pseudo-remainder is lead(b)**(deg a - deg b + 1) times rem(a, b),
+    so it is not negated when that power is negative: lead(b) < 0 and
+    deg a - deg b even.  Contents are divided out by positive gcds only.
+    A negative multiple anywhere would change the sign variations."""
+    a, b = list(p), _deriv(p)
+    chain = [tuple(a)]
+    while b:
+        chain.append(tuple(b))
+        r = _pseudo_divmod(a, b)[1]
+        if b[-1] > 0 or (len(a) - len(b)) % 2:
+            r = [-c for c in r]
+        a, b = b, _primitive(r)
+    return tuple(chain)
 
 
-def _sign_variations(values) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
+def _variations(chain: Sequence, x) -> int:
+    n, d = x.numerator, x.denominator
+    signs = [v > 0 for v in (_hval(c, n, d) for c in chain) if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def sturm_count(chain: Sequence[Poly], lo, hi) -> int:
+def sturm_count(chain: Sequence, lo, hi) -> int:
     """Number of distinct real roots in the half-open interval (lo, hi]."""
-    va = _sign_variations([poly_eval(c, lo) for c in chain])
-    vb = _sign_variations([poly_eval(c, hi) for c in chain])
-    return va - vb
+    return _variations(chain, lo) - _variations(chain, hi)
 
 
 def count_real_roots(p: Sequence, lo, hi) -> int:
-    """Distinct real roots of p in (lo, hi]."""
-    return sturm_count(sturm_chain(poly_squarefree(p)), lo, hi)
-
-
-def root_bound(p: Sequence) -> Q:
-    """Cauchy bound: all real roots lie in (-B, B)."""
-    p = poly_trim(list(p))
-    if poly_deg(p) < 1:
-        return QONE
-    lead = abs(p[-1])
-    return QONE + max(abs(c) for c in p[:-1]) / lead
+    """Distinct real roots in (lo, hi] of p, rational or int, nonzero."""
+    return sturm_count(sturm_chain(squarefree_part(int_poly(p))), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -251,42 +235,45 @@ def root_bound(p: Sequence) -> Q:
 class NumberField:
     """Q[x]/P(x) with an isolating interval selecting one real root of P.
 
-    The defining polynomial is stored monic (arithmetic is unaffected).  The
-    interval only ever shrinks; concurrent sign queries therefore agree.
+    P is given with rational or int coefficients and stored as `int_poly(P)`:
+    primitive, with positive leading coefficient; headers print it monic.
+    The interval only ever shrinks; concurrent sign queries therefore agree.
     """
 
     def __init__(self, coeffs: Sequence, lo, hi, _checked: bool = False):
-        p = poly([Q(c) for c in coeffs])
-        if poly_deg(p) < 1:
+        p = int_poly(coeffs)
+        if len(p) < 2:
             raise NoRootIsolated("defining polynomial must be nonconstant")
         lo, hi = Q(lo), Q(hi)
         if not lo < hi:
             raise NoRootIsolated("need lo < hi")
-        self.poly: Poly = poly_monic(p)
-        self.degree: int = poly_deg(self.poly)
+        self.poly: Tuple[int, ...] = p
+        self.degree: int = len(p) - 1
         self.original_interval = (lo, hi)
         if not _checked:
             self._check_isolation(lo, hi)
         self._lo, self._hi = lo, hi
-        self._sign_lo = 1 if poly_eval(self.poly, lo) > 0 else -1
+        self._sign_lo = 1 if _hval(p, lo.numerator, lo.denominator) > 0 else -1
         self._exact: Q | None = None
         if self.degree == 1:
-            self._exact = -self.poly[0]
+            self._exact = Q(-p[0], p[1])
             self._lo = self._hi = self._exact
         # x^(degree+j) reduced mod poly, built on demand
         self._red_rows: tuple | None = None
         self._reset_bounds()
 
     def _check_isolation(self, lo, hi):
-        vlo, vhi = poly_eval(self.poly, lo), poly_eval(self.poly, hi)
+        p = self.poly
+        vlo = _hval(p, lo.numerator, lo.denominator)
+        vhi = _hval(p, hi.numerator, hi.denominator)
         if vlo * vhi >= 0:
             raise NoRootIsolated(
-                f"no sign change of {poly_to_string(self.poly)} on "
+                f"no sign change of {poly_to_string(_monic(p))} on "
                 f"({format_rational(lo)}, {format_rational(hi)})")
-        g = poly_gcd(self.poly, poly_deriv(self.poly))
-        if poly_deg(g) >= 1 and count_real_roots(g, lo, hi) >= 1:
+        g = primitive_gcd(p, _deriv(p))
+        if len(g) > 1 and count_real_roots(g, lo, hi) >= 1:
             raise NotSquareFree(
-                f"repeated root of {poly_to_string(self.poly)} in the interval")
+                f"repeated root of {poly_to_string(_monic(p))} in the interval")
         if count_real_roots(self.poly, lo, hi) != 1:
             raise NoRootIsolated("interval does not contain exactly one root")
 
@@ -300,7 +287,7 @@ class NumberField:
         if self._exact is not None:
             return
         mid = (self._lo + self._hi) / 2
-        v = poly_eval(self.poly, mid)
+        v = _hval(self.poly, mid.numerator, mid.denominator)
         if v == 0:
             self._exact = mid
             self._lo = self._hi = mid
@@ -333,10 +320,10 @@ class NumberField:
             lnum, hnum, den = self._ends
             rest = den ** (self.degree - 1 - e)
             plo, phi = lnum ** e * rest, hnum ** e * rest
-            if lnum >= 0 or e % 2 == 1 or hnum <= 0:
+            if e == 0 or lnum >= 0 or e % 2 == 1 or hnum <= 0:
                 b = (plo, phi) if plo <= phi else (phi, plo)
             else:
-                b = (0, max(plo, phi))  # interval straddles 0, even power
+                b = (0, max(plo, phi))  # interval straddles 0, even power > 0
             self._bounds[e] = b
         return b
 
@@ -359,7 +346,8 @@ class NumberField:
         mod P, sparse and sorted, all over the one positive denominator den."""
         if self._red_rows is None:
             d = self.degree
-            first = {e: -c for e, c in enumerate(self.poly[:-1]) if c != 0}
+            lead = self.poly[-1]
+            first = {e: Q(-c, lead) for e, c in enumerate(self.poly[:-1]) if c}
             rows = [first]
             for _ in range(d - 2):
                 prev = rows[-1]
@@ -418,12 +406,12 @@ class NumberField:
 
     def __repr__(self):
         lo, hi = self.original_interval
-        return (f"NumberField({poly_to_string(self.poly)} on "
+        return (f"NumberField({poly_to_string(_monic(self.poly))} on "
                 f"({format_rational(lo)}, {format_rational(hi)}))")
 
     def header(self) -> str:
         lo, hi = self.original_interval
-        coeffs = ",".join(format_rational(c) for c in self.poly)
+        coeffs = ",".join(format_rational(c) for c in _monic(self.poly))
         return f"field: {coeffs} ; interval {format_rational(lo)} {format_rational(hi)}"
 
     # -- element constructors --------------------------------------------------
@@ -437,9 +425,6 @@ class NumberField:
 
     def alpha(self) -> "AlgebraicNumber":
         return self.element([0, 1])
-
-    def from_rational(self, x) -> "AlgebraicNumber":
-        return self.element([Q(x)])
 
 
 def field_make(p: Sequence, lo, hi) -> NumberField:
@@ -470,19 +455,20 @@ def largest_real_root(p: Sequence, precision) -> Tuple[NumberField, Tuple[Q, Q]]
     Returns a NumberField anchored at that root (defining polynomial: the
     square-free part of p) together with the isolating interval.
     """
-    p = poly(p)
-    if poly_deg(p) < 1:
+    q = int_poly(p)
+    if len(q) < 2:
         raise NoRealRoot("polynomial is constant")
-    sf = poly_squarefree(p)
+    sf = squarefree_part(q)
     chain = sturm_chain(sf)
-    bound = root_bound(sf)
+    bound = 1 + Q(max(map(abs, sf[:-1])), sf[-1])  # Cauchy: |root| < bound
     lo, hi = -bound, bound
     if sturm_count(chain, lo, hi) == 0:
-        raise NoRealRoot(poly_to_string(p))
+        raise NoRealRoot(poly_to_string(poly_trim(list(p))))
     # keep the upper part while it still contains a root
     while sturm_count(chain, lo, hi) > 1:
         mid = (lo + hi) / 2
-        while poly_eval(sf, mid) == 0:  # never bisect exactly on a root
+        # never bisect exactly on a root
+        while not _hval(sf, mid.numerator, mid.denominator):
             mid = (mid + hi) / 2
         if sturm_count(chain, mid, hi) >= 1:
             lo = mid
@@ -504,11 +490,13 @@ def power_root_field(lam: NumberField, s: int, width) -> NumberField:
     from the bracket it had reached.  When mid**s is exactly lambda, beta is
     mid and the interval is centred on it.
     """
-    composed = poly_compose_power(lam.poly, s)
+    composed = [0] * (lam.degree * s + 1)  # lam.poly(x**s)
+    composed[::s] = lam.poly
     la, lb = lam.interval()
     while la <= 0:
         if lb <= 0:
-            raise NoRealRoot(f"root of {poly_to_string(lam.poly)} is not positive")
+            raise NoRealRoot(
+                f"root of {poly_to_string(_monic(lam.poly))} is not positive")
         lam.refine()
         la, lb = lam.interval()
     width = Q(width)
@@ -567,8 +555,12 @@ class AlgebraicNumber:
             out[e] = c
         return poly_trim(out)
 
-    def is_zero(self) -> bool:
-        return not self._num
+    def _dense(self) -> list:
+        """The numerator as a dense int polynomial."""
+        out = [0] * (self._num[-1][0] + 1)
+        for e, c in self._num:
+            out[e] = c
+        return out
 
     def rational_value(self) -> Q | None:
         """The exact rational value, or None when irrational."""
@@ -576,8 +568,11 @@ class AlgebraicNumber:
             return QZERO
         if len(self._num) == 1 and self._num[0][0] == 0:
             return Q(self._num[0][1], self._den)
-        if self.field._exact is not None:
-            return poly_eval(self.coeff_list(), self.field._exact)
+        x = self.field._exact
+        if x is not None:
+            num = self._dense()
+            return Q(_hval(num, x.numerator, x.denominator),
+                     self._den * x.denominator ** (len(num) - 1))
         return None
 
     # -- arithmetic -------------------------------------------------------------
@@ -642,26 +637,22 @@ class AlgebraicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "AlgebraicNumber":
-        """Exact inverse by the extended Euclidean algorithm on integer
-        polynomials: pseudo-division, each remainder made primitive.
+        """Exact inverse by the extended primitive remainder sequence of P
+        and the numerator num.
 
-        With num the numerator polynomial, each step keeps k*r = s*num mod P
-        for int polynomials r, s and an int k.  The last remainder is a
-        constant c, so 1/self = den * s / (k*c).
+        Each step keeps k*r = s*num mod P for int polynomials r, s and an
+        int k.  The last remainder is a constant c, so 1/self =
+        den * s / (k*c).
         """
         if not self._num:
             raise DivisionByZero("inverse of zero")
         f = self.field
-        pden = lcm(*(c.denominator for c in f.poly))
-        r0 = [c.numerator * (pden // c.denominator) for c in f.poly]
-        r1 = [0] * (self._num[-1][0] + 1)
-        for e, c in self._num:
-            r1[e] = c
+        r0, r1 = f.poly, self._dense()
         s0, k0, s1, k1 = [], 1, [1], 1
         while len(r1) > 1:
             q, r = _pseudo_divmod(r0, r1)
             if not r:
-                raise NotInvertible(poly_monic(poly(r1)))
+                raise NotInvertible(_monic(r1))
             # lead**delta * r0 = q*r1 + r, so
             # k0*k1*r = (lead**delta * k1*s0 - k0*q*s1) * num  mod P
             scale = r1[-1] ** (len(r0) - len(r1) + 1) * k1
@@ -703,35 +694,31 @@ class AlgebraicNumber:
     # -- sign and comparisons -----------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign: gcd-based zero test, then interval refinement.
-
-        Only the numerator is evaluated: the denominator is positive."""
+        """Exact sign: enclose the numerator on the isolating interval (the
+        denominator is positive), halving the interval after each miss.
+        After two misses, the value is zero iff gcd(numerator, P) has a root
+        in the interval; that test runs once, and a nonzero value then
+        needs only more halvings."""
         if not self._num:
             return 0
         f = self.field
-        if f._exact is not None:
-            v = poly_eval(self.coeff_list(), f._exact)
-            return 0 if v == 0 else (1 if v > 0 else -1)
-        zero_tested = False
-        for _ in range(2):
-            lo, hi, _ = f.enclose(self._num)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            f.refine()
+        misses = 0
         while True:
-            if not zero_tested:
-                g = poly_gcd(self.coeff_list(), f.poly)
-                if poly_deg(g) >= 1 and count_real_roots(g, f._lo, f._hi) >= 1:
+            x = f._exact
+            if x is not None:
+                v = _hval(self._dense(), x.numerator, x.denominator)
+                return (v > 0) - (v < 0)
+            if misses == 2:
+                g = primitive_gcd(self._dense(), f.poly)
+                if len(g) > 1 and count_real_roots(g, f._lo, f._hi) >= 1:
                     return 0
-                zero_tested = True
             lo, hi, _ = f.enclose(self._num)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
             f.refine()
+            misses += 1
 
     def __eq__(self, other):
         # equality of reduced representatives (the dedup contract); use
@@ -756,23 +743,6 @@ class AlgebraicNumber:
 
     def __repr__(self):
         return format_number(self)
-
-
-def _pseudo_divmod(a: list, b: list) -> Tuple[list, list]:
-    """(q, r) for int polynomials (low to high, b nonconstant) with
-    lead(b)**(deg a - deg b + 1) * a = q*b + r, r trimmed to deg r < deg b."""
-    lead, db = b[-1], len(b) - 1
-    r, q = list(a), [0] * (len(a) - db)
-    for i in range(len(q) - 1, -1, -1):
-        c = r.pop()
-        r = [lead * x for x in r]
-        for j in range(db):
-            r[i + j] -= c * b[j]
-        q = [lead * x for x in q]
-        q[i] = c
-    while r and not r[-1]:
-        r.pop()
-    return q, r
 
 
 def sign_of(x) -> int:

@@ -72,10 +72,6 @@ class SquareMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    def mul_vec(self, v):
-        return tuple(sum((a * b for a, b in zip(r, v)), QZERO)
-                     for r in self.entries)
-
 
 def transfer_matrix(s: BilinearSystem, g: Gadget) -> SquareMatrix:
     """M with M e_i = gadget evaluated with the hole replaced by e_i."""

@@ -1,6 +1,7 @@
 import pytest
 
 from treebound import fixtures as fixreg
+from treebound.automaton import parse_automaton
 from treebound.numeric import Q, field_make, nthroot_field
 from treebound.system import BilinearSystem
 
@@ -30,7 +31,8 @@ def indep_dom_system():
 
 @pytest.fixture(scope="session")
 def indep_dom_automaton():
-    return fixreg.load_fixture_automaton(fixreg.BY_NAME["indep_dom"])
+    return parse_automaton(
+        fixreg.read_data(fixreg.BY_NAME["indep_dom"].automaton))
 
 
 @pytest.fixture(scope="session")

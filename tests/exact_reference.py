@@ -2,28 +2,113 @@
 arithmetic in Q(alpha) on dense polynomials over Q.
 
 None is used by the package; the tests use them as independent oracles for
-root isolation, the characteristic polynomial and field elements.
+root isolation, the characteristic polynomial and field elements.  The dense
+Q[x] helpers below are this module's own: the package computes on integer
+polynomials, and a defining polynomial read from a field (``field.poly``,
+integers) is converted here with ``Q`` before use.
 """
 
+from fractions import Fraction as Q
 from typing import Sequence
 
-from treebound.numeric import (
-    QONE,
-    QZERO,
-    NumberField,
-    count_real_roots,
-    format_rational,
-    poly,
-    poly_deg,
-    poly_divmod,
-    poly_eval,
-    poly_gcd,
-    poly_mul,
-    poly_neg,
-    poly_trim,
-    sign_of,
-)
+from treebound.numeric import NumberField, format_rational, sign_of
 from treebound.spectral import SquareMatrix, char_poly
+
+QZERO, QONE = Q(0), Q(1)
+
+
+# -- dense polynomials over Q (coefficients low to high) ------------------------
+
+
+def poly_trim(coeffs: Sequence):
+    n = len(coeffs)
+    while n > 0 and coeffs[n - 1] == 0:
+        n -= 1
+    return tuple(coeffs[:n])
+
+
+def poly(coeffs: Sequence):
+    return poly_trim([Q(c) for c in coeffs])
+
+
+def poly_deg(p: Sequence) -> int:
+    """Degree, with deg 0 = -1 by convention."""
+    return len(p) - 1
+
+
+def poly_neg(a: Sequence):
+    return tuple(-c for c in a)
+
+
+def poly_mul(a: Sequence, b: Sequence):
+    if not a or not b:
+        return ()
+    out = [QZERO] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return poly_trim(out)
+
+
+def poly_divmod(a: Sequence, b: Sequence):
+    a, b = poly(a), poly(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a)
+    db, lead = len(b) - 1, b[-1]
+    quo = [QZERO] * max(0, len(a) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        f = rem[i] / lead
+        quo[i - db] = f
+        for j in range(db + 1):
+            rem[i - db + j] -= f * b[j]
+    return poly_trim(quo), poly_trim(rem)
+
+
+def poly_monic(a: Sequence):
+    return tuple(Q(c) / a[-1] for c in a) if a else ()
+
+
+def poly_gcd(a: Sequence, b: Sequence):
+    """Monic gcd by the Euclidean algorithm over Q."""
+    a, b = poly(a), poly(b)
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return poly_monic(a)
+
+
+def poly_deriv(a: Sequence):
+    return poly_trim([Q(a[i]) * i for i in range(1, len(a))])
+
+
+def poly_eval(a: Sequence, x):
+    acc = QZERO
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def poly_squarefree(a: Sequence):
+    """Monic a / gcd(a, a')."""
+    return poly_monic(poly_divmod(a, poly_gcd(a, poly_deriv(a)))[0])
+
+
+def ref_count_roots(p: Sequence, lo, hi) -> int:
+    """Distinct real roots of p in (lo, hi], by the Sturm sequence of its
+    square-free part: p, p', then -rem(a, b) of the last two."""
+    chain = [poly_squarefree(p)]
+    chain.append(poly_deriv(chain[0]))
+    while chain[-1]:
+        chain.append(poly_neg(poly_divmod(chain[-2], chain[-1])[1]))
+
+    def variations(x):
+        signs = [v > 0 for v in (poly_eval(c, x) for c in chain) if v != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    return variations(Q(lo)) - variations(Q(hi))
+
+
+# -- exact checks ------------------------------------------------------------------
 
 
 def compare_isolated_roots(p1: Sequence, iv1, p2: Sequence, iv2) -> int:
@@ -47,9 +132,9 @@ def compare_isolated_roots(p1: Sequence, iv1, p2: Sequence, iv2) -> int:
                 g = poly_gcd(f1.poly, f2.poly)
             if poly_deg(g) >= 1:
                 lo, hi = max(lo1, lo2), min(hi1, hi2)
-                if lo < hi and count_real_roots(g, lo, hi) >= 1 \
-                        and count_real_roots(f1.poly, lo, hi) == 1 \
-                        and count_real_roots(f2.poly, lo, hi) == 1:
+                if lo < hi and ref_count_roots(g, lo, hi) >= 1 \
+                        and ref_count_roots(f1.poly, lo, hi) == 1 \
+                        and ref_count_roots(f2.poly, lo, hi) == 1:
                     return 0
         f1.refine()
         f2.refine()
@@ -86,7 +171,7 @@ def ref_sub(a: Sequence, b: Sequence):
 
 def ref_mul(a: Sequence, b: Sequence, p: Sequence):
     """a*b reduced mod p."""
-    return poly_divmod(poly_mul(a, b), p)[1]
+    return poly_divmod(poly_mul(poly(a), poly(b)), p)[1]
 
 
 def ref_inverse(a: Sequence, p: Sequence):
@@ -107,12 +192,13 @@ def ref_sign(a: Sequence, p: Sequence, lo, hi) -> int:
     no root in [lo, hi], where its sign is then a(lo)'s."""
     if not a:
         return 0
+    p = poly(p)
     g = poly_gcd(a, p)
-    if poly_deg(g) >= 1 and count_real_roots(g, lo, hi) >= 1:
+    if poly_deg(g) >= 1 and ref_count_roots(g, lo, hi) >= 1:
         return 0
     sign = lambda v: (v > 0) - (v < 0)
     sign_lo = sign(poly_eval(p, lo))
-    while count_real_roots(a, lo, hi) or poly_eval(a, lo) == 0:
+    while ref_count_roots(a, lo, hi) or poly_eval(a, lo) == 0:
         mid = (lo + hi) / 2
         v = poly_eval(p, mid)
         if v == 0:

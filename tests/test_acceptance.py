@@ -11,13 +11,14 @@ import sys
 
 import pytest
 
+from exact_reference import poly_divmod
 from treebound import fixtures as fixreg
+from treebound.automaton import parse_automaton
 from treebound.errors import AuditFailure
 from treebound.geometry import hull_reduce, member_dominated_hull
 from treebound.numeric import (
     Q,
     decimal_str,
-            poly_divmod,
     sign_of,
 )
 from treebound.oracle import (
@@ -125,7 +126,8 @@ def test_criterion_3_oracle_formulas_and_agreement():
     for n in range(2, 13, 2):
         assert max_count_via_levels(system, n) == 2 ** (n // 2 - 1) + 1
 
-    automaton = fixreg.load_fixture_automaton(fixreg.BY_NAME["indep_dom"])
+    automaton = parse_automaton(
+        fixreg.read_data(fixreg.BY_NAME["indep_dom"].automaton))
     for k in range(1, 11):
         assert (max_count_via_shapes(automaton, k, exhaustive_cap=7)
                 == max_count_via_levels(system, k))

@@ -7,9 +7,7 @@ from treebound.automaton import (
     count_accepted_subsets,
     evaluate,
     fold_shape,
-    format_automaton,
     parse_automaton,
-    path_shape,
     select_leaves,
     shape_leaves,
 )
@@ -21,6 +19,28 @@ from treebound.errors import (
 from treebound.geometry import vec_dot
 from treebound.numeric import Q
 from treebound.oracle import ShapeEnumerator
+
+
+def format_automaton(a) -> str:
+    """The automaton file text that parses back to a."""
+    lines = ["states " + " ".join(a.states)]
+    if a.finals:
+        lines.append("final " + " ".join(q for q in a.states if q in a.finals))
+    if a.leaf0 is not None:
+        lines.append(f"leaf0 {a.leaf0}")
+    if a.leaf1 is not None:
+        lines.append(f"leaf1 {a.leaf1}")
+    for (q1, q2), q in a.trans.items():
+        lines.append(f"trans {q1} {q2} -> {q}")
+    return "\n".join(lines) + "\n"
+
+
+def path_shape(k: int):
+    """The comb shape with k leaves: J(bot, J(bot, ...)), i.e. the path P_k."""
+    shape = None
+    for _ in range(k - 1):
+        shape = (None, shape)
+    return shape
 
 
 def test_parse_indep_dom(indep_dom_automaton):

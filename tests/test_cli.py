@@ -218,6 +218,12 @@ def test_spectral_cli_exact_root(capsys, count, size, beta):
      "--max-vectors", "0"],
     ["bound", data("indep_dom.system"), "--alpha", "nthroot(3,x)"],
     ["bound", data("indep_dom.system"), "--alpha", "root(x^2-2,a,2)"],
+    ["bound", data("indep_dom.system"), "--alpha", "0"],
+    ["bound", data("indep_dom.system"), "--alpha", "-1"],
+    ["bound", data("indep_dom.system"), "--alpha", "nthroot(3,0)"],
+    ["bound", data("indep_dom.system"), "--alpha", "nthroot(-3,2)"],
+    ["bound", data("indep_dom.system"), "--alpha", "root(x^2+1,0,1)"],
+    ["oracle", "--system", data("indep_dom.system"), "--k", "13"],
 ])
 def test_bad_input_exits_2_without_traceback(capsys, argv):
     try:

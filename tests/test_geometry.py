@@ -72,7 +72,7 @@ def test_lp_exactness_rational_vs_field(sqrt2_field):
     # the same rational-data query solved over Q and over Q(sqrt 2)
     X = [(Q(2), Q(0), Q(1)), (Q(0), Q(3), Q(1)), (Q(1), Q(1), Q(0))]
     x = (Q(2, 3), Q(1), Q(1, 2))
-    emb = lambda v: tuple(sqrt2_field.from_rational(c) for c in v)
+    emb = lambda v: tuple(sqrt2_field.element([c]) for c in v)
     lam_q = lp_solve(x, X)
     lam_f = lp_solve(emb(x), [emb(v) for v in X])
     assert lam_q is not None and lam_f is not None

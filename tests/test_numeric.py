@@ -5,6 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from exact_reference import (
     compare_isolated_roots,
+    poly,
+    poly_eval,
+    poly_gcd,
+    poly_monic,
+    poly_mul,
+    poly_neg,
+    poly_squarefree,
+    ref_count_roots,
     ref_add,
     ref_format,
     ref_inverse,
@@ -16,26 +24,28 @@ from treebound.errors import (
     DivisionByZero,
     FieldMismatch,
     NoRootIsolated,
+    NotInvertible,
     NotSquareFree,
 )
 from treebound.numeric import (
     NumberField,
     Q,
+    count_real_roots,
     decimal_interval,
     decimal_str,
     field_make,
     format_number,
+    int_poly,
     invert,
     nthroot_field,
     parse_field_header,
     parse_number,
-    poly,
     poly_from_string,
-    poly_gcd,
-    poly_mul,
-    poly_neg,
     poly_to_string,
+    primitive_gcd,
     sign_of,
+    squarefree_part,
+    _hval,
 )
 from treebound.geometry import hull_reduce
 
@@ -172,7 +182,7 @@ def test_invert_examples(sqrt2_field, plastic_field):
     b = sqrt2_field.alpha()
     assert b.inverse() == sqrt2_field.element([0, Q(1, 2)])  # alpha/2
     with pytest.raises(DivisionByZero):
-        sqrt2_field.from_rational(0).inverse()
+        sqrt2_field.element([0]).inverse()
 
 
 # -- differential check against dense polynomials over Q ------------------------
@@ -218,6 +228,141 @@ def test_arithmetic_agrees_with_dense_reference(name, data):
         assert a.inverse().coeff_list() == ref_inverse(ca, P)
 
 
+def test_sign_of_a_constant_when_the_interval_straddles_zero():
+    # alpha = 0 on (-1/8, 1/7); no bisection midpoint is exactly 0, so a
+    # constant's enclosure must not take alpha**0 as ranging over [0, 1]
+    f = NumberField((0, -18, 12, 4, -4, Q(2, 3)), Q(-1, 8), Q(1, 7))
+    assert sign_of(f.element([-1])) == -1 and sign_of(f.element([2])) == 1
+    assert sign_of(f.alpha()) == 0
+    assert sign_of(f.element([Q(-1, 100), 1])) == -1  # alpha - 1/100
+
+
+def test_sign_after_a_bisection_lands_on_a_rational_root():
+    # (x-1)(x-3) with alpha = 1 on (0, 2): the first halving finds alpha
+    # exactly, and the enclosures that follow are single points
+    f = NumberField((3, -4, 1), 0, 2)
+    assert sign_of(f.alpha() - 1) == 0
+    assert f.interval() == (1, 1) and f.alpha().rational_value() == 1
+    assert sign_of(f.alpha() - Q(1, 2)) == 1 and sign_of(f.alpha() - 2) == -1
+
+
+# -- the integer polynomial kernel against the dense Q reference ----------------
+
+small_rationals = st.builds(Q, st.integers(-6, 6), st.integers(1, 4))
+nonzero_rationals = small_rationals.filter(lambda c: c != 0)
+
+
+@st.composite
+def rational_polys(draw):
+    """c * f1**m1 * ... * fk**mk: non-monic, rational coefficients, factors
+    of degree 1 to 4 (reducible or not, often sparse, such as x^4 + x - 1,
+    whose remainder sequences skip degrees), some of them repeated."""
+    p = (draw(nonzero_rationals),)
+    coeff = st.one_of(st.just(Q(0)), small_rationals)
+    for _ in range(draw(st.integers(1, 3))):
+        f = poly(draw(st.lists(coeff, min_size=1, max_size=4))
+                 + [draw(nonzero_rationals)])
+        for _ in range(draw(st.integers(1, 2))):
+            p = poly_mul(p, f)
+    return p
+
+
+def sign(v):
+    return (v > 0) - (v < 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_polys(), small_rationals, small_rationals)
+def test_root_counts_agree_with_reference(p, a, b):
+    # the Sturm chains of p and of its square-free part are built from
+    # pseudo-remainders, whose signs must be corrected
+    lo, hi = min(a, b), max(a, b) + Q(1, 3)
+    assert count_real_roots(p, lo, hi) == ref_count_roots(p, lo, hi)
+    bound = 1 + max(abs(c) for c in p[:-1]) / abs(p[-1])
+    assert count_real_roots(p, -bound, bound) == ref_count_roots(p, -bound, bound)
+
+
+@pytest.mark.parametrize("p,roots", [
+    ((-1, 1, 0, 0, 1), 2),        # x^4 + x - 1
+    ((1, 1, 0, 0, 1), 0),         # x^4 + x + 1
+    ((Q(-1, 2), Q(3, 2), 0, 0, 1), 2),
+])
+def test_sturm_count_when_the_remainder_skips_a_degree(p, roots):
+    # for p = x^4 + bx + c, b > 0, the chain is p, p', then a positive
+    # multiple of -(3bx/4 + c): its leading coefficient is negative and it is
+    # two degrees below p', so the next pseudo-remainder is a negative
+    # multiple of the remainder and must not be negated
+    assert count_real_roots(p, -3, 3) == ref_count_roots(p, -3, 3) == roots
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_polys(), rational_polys())
+def test_gcd_and_squarefree_agree_with_reference_up_to_scalar(p, q):
+    # int_poly is the one primitive, positive-leading multiple of its input
+    g = primitive_gcd(int_poly(p), int_poly(q))
+    assert g == int_poly(poly_gcd(p, q))
+    assert poly_monic(g) == poly_gcd(p, q)
+    assert squarefree_part(int_poly(p)) == int_poly(poly_squarefree(p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_polys(), st.lists(small_rationals, min_size=1, max_size=4))
+def test_sign_of_p_at_rational_points_agrees_with_reference(p, points):
+    ip = int_poly(p)
+    for x in points:
+        assert (sign(_hval(ip, x.numerator, x.denominator)) * sign(p[-1])
+                == sign(poly_eval(p, x)))
+
+
+ROOTS = [Q(k, 2) for k in range(-6, 7)]  # 1/2 apart, over 1/5 from sqrt(3)
+
+
+@st.composite
+def isolated_fields(draw):
+    """(p, lo, hi): p = c * (x^2 - 3) * prod (x - r)**m over distinct r in
+    ROOTS, m >= 1, and (lo, hi) isolating a simple root of p."""
+    roots = draw(st.lists(st.sampled_from(ROOTS), min_size=1, max_size=3,
+                          unique=True))
+    mult = [draw(st.integers(1, 2)) for _ in roots]
+    p = poly_mul((draw(nonzero_rationals),), (Q(-3), Q(0), Q(1)))
+    for r, m in zip(roots, mult):
+        for _ in range(m):
+            p = poly_mul(p, (-r, Q(1)))
+    simple = [r for r, m in zip(roots, mult) if m == 1]
+    i = draw(st.integers(0, len(simple)))
+    if i == len(simple):
+        return p, Q(17, 10), Q(7, 4)           # sqrt(3)
+    return p, simple[i] - Q(1, 8), simple[i] + Q(1, 7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(isolated_fields(), nonzero_rationals, st.data())
+def test_scaled_defining_polynomial_gives_the_same_field(field, c, data):
+    p, lo, hi = field
+    f, g = NumberField(p, lo, hi), NumberField([c * x for x in p], lo, hi)
+    assert f == g and hash(f) == hash(g)
+    assert f.header() == g.header() and repr(f) == repr(g)
+    assert f.header().startswith(
+        "field: " + ",".join(format_number(x) for x in poly_monic(p)) + " ;")
+    coeffs = poly(data.draw(st.lists(small_rationals, min_size=1,
+                                     max_size=f.degree)))
+    assert sign_of(f.element(coeffs)) == ref_sign(coeffs, p, lo, hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(isolated_fields(), st.data())
+def test_not_invertible_reports_the_monic_rational_factor(field, data):
+    # a = factor * (x + 1/3), and -1/3 is no root of p: the gcd is factor
+    p, lo, hi = field
+    f = NumberField(p, lo, hi)
+    factor = data.draw(st.sampled_from([(Q(-3), Q(0), Q(1))] + [
+        (-r, Q(1)) for r in ROOTS if poly_eval(p, r) == 0]))
+    a = poly_mul(factor, (Q(1, 3), Q(1)))
+    with pytest.raises(NotInvertible) as exc:
+        f.element(a).inverse()
+    assert exc.value.factor == poly_monic(poly_gcd(a, p)) == factor
+
+
 # -- canonical representatives ------------------------------------------------------
 
 
@@ -230,7 +375,7 @@ def test_equal_values_have_equal_representatives(name, data):
     a, b, c = (f.element(data.draw(coeff_lists(f.degree))) for _ in range(3))
     lhs, rhs = (a + b) * c, a * c + b * c
     assert lhs == rhs and hash(lhs) == hash(rhs)
-    if not a.is_zero():
+    if a != 0:
         q = (b * a) / a
         assert q == b and hash(q) == hash(b)
     assert len({lhs, rhs, c * a + c * b}) == 1
@@ -361,5 +506,8 @@ def test_poly_string_parsing():
 
 
 def test_poly_gcd_monic():
+    # the reference's gcd is monic; the package's is its primitive integer
+    # multiple with positive leading coefficient
     p = poly_mul((Q(-1), Q(1)), (Q(-2), Q(2)))  # 2(x-1)^2
     assert poly_gcd(p, (Q(-1), Q(1))) == (Q(-1), Q(1))
+    assert primitive_gcd(int_poly(p), (1, -1)) == (-1, 1)
