@@ -59,26 +59,37 @@ def vec_is_nonnegative(u: Vec) -> bool:
 def lp_solve(x: Vec, X: Sequence[Vec]) -> Optional[Vec]:
     """lambda >= 0 with sum lambda = 1 and sum lambda_i X_i >= x, or None.
 
-    Phase 1 of the simplex from the artificial basis, with Bland's rule.  The
-    pivots are integer-preserving (Edmonds 1967, Bareiss 1968): the tableau
-    holds every entry times d, the last pivot, and each pivot divides exactly
-    by the previous d.  A row whose data are all rational is scaled to ints by
-    its lcm denominator, so it stays in ints with no gcd work.  Over Q(alpha)
-    the same loop multiplies by one inverse of d per pivot.
+    Phase 1 of the simplex from the artificial basis.  The pivots are
+    integer-preserving (Edmonds 1967, Bareiss 1968): the tableau holds every
+    entry times d, the last pivot, and each pivot divides exactly by the
+    previous d.  A row whose entries all have rational values is scaled to
+    ints by its lcm denominator, so it stays in ints with no gcd work; over
+    Q(alpha) the same loop multiplies by one inverse of d per pivot.
+
+    Pricing: while the whole tableau is in ints, the most negative reduced
+    cost enters (Dantzig), lowest index on ties.  Bland's rule (lowest index
+    with a negative reduced cost) prices a tableau with field entries, and
+    any pivot after a degenerate one (pivot row rhs 0) until the next
+    nondegenerate one; a cycle is a run of degenerate pivots, and under
+    Bland's rule no such run repeats a basis, so phase 1 terminates.
     """
     m, n = len(X), len(x)
     width = m + n                   # lambda columns, then one surplus each
     rows = [[1] * m + [0] * n + [1]]
+    all_int = True                  # no field row: Dantzig pricing
     for j in range(n):
         data = [v[j] for v in X] + [x[j]]
-        if any(isinstance(a, AlgebraicNumber) for a in data):
+        vals = [a.rational_value() if isinstance(a, AlgebraicNumber) else a
+                for a in data]
+        if any(a is None for a in vals):
             # no int in a field row: a row is all ints or has none
             data, one, zero = [a if isinstance(a, AlgebraicNumber) else Q(a)
                                for a in data], QONE, QZERO
+            all_int = False
         else:
-            scale = lcm(*(a.denominator for a in data))
+            scale = lcm(*(a.denominator for a in vals))
             data, one, zero = [a.numerator * (scale // a.denominator)
-                               for a in data], 1, 0
+                               for a in vals], 1, 0
         if sign_of(data[-1]) < 0:  # rhs >= 0 for the artificial basis
             data, one = [-a for a in data], -one
         row = data[:-1] + [zero] * n + data[-1:]
@@ -87,8 +98,13 @@ def lp_solve(x: Vec, X: Sequence[Vec]) -> Optional[Vec]:
     basis = [width + i for i in range(n + 1)]   # artificials, never stored
     cost = [-sum(col) for col in zip(*rows)]    # phase-1 reduced costs, -w
     d = 1
+    bland = not all_int
     while sign_of(cost[-1]) != 0:
-        enter = next((j for j in range(width) if sign_of(cost[j]) < 0), -1)
+        if bland:
+            enter = next((j for j in range(width) if sign_of(cost[j]) < 0), -1)
+        else:
+            low = min(cost[:width])
+            enter = cost.index(low) if low < 0 else -1
         if enter < 0:
             return None             # optimal with artificials left: infeasible
         leave = -1
@@ -107,6 +123,7 @@ def lp_solve(x: Vec, X: Sequence[Vec]) -> Optional[Vec]:
             raise ArithmeticError("phase 1 cannot be unbounded")
         prow = rows[leave]
         p = prow[enter]
+        bland = not all_int or sign_of(prow[-1]) == 0
         ints = type(p) is int and type(d) is int
         inv = invert(d)
         for i, row in enumerate(rows):
@@ -158,6 +175,10 @@ def member_dominated_hull(x: Vec, X: Sequence[Vec]) -> bool:
     for v in X:
         if vec_leq(x, v):
             return True
+    # so does a coordinate above every X_ij: no combination reaches it
+    for j, a in enumerate(x):
+        if not any(vec_leq((a,), (v[j],)) for v in X):
+            return False
     return lp_solve(x, X) is not None
 
 

@@ -37,7 +37,19 @@ QONE = Q(1)
 
 
 def parse_rational(tok: str) -> Q:
-    """Parse ``p`` or ``p/q`` into a normalized rational."""
+    """Parse ``p`` or ``p/q`` into a normalized rational.
+
+    A plain ``[-]digits[/digits]`` token is read with int(), and q = 0
+    raises Fraction's own ZeroDivisionError; any other token (spaces, a
+    sign, a decimal point) goes to Fraction(str), which accepts or rejects
+    it as it always has."""
+    num, slash, den = tok.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if digits.isascii() and digits.isdigit():
+        if not slash:
+            return Q(int(num))
+        if den.isascii() and den.isdigit():
+            return Q(int(num), int(den))
     return Q(tok.strip())
 
 
@@ -270,11 +282,15 @@ class NumberField:
             raise NoRootIsolated(
                 f"no sign change of {poly_to_string(_monic(p))} on "
                 f"({format_rational(lo)}, {format_rational(hi)})")
-        g = primitive_gcd(p, _deriv(p))
+        # P's own chain ends in gcd(P, P'); with no root of that gcd in the
+        # interval, the chain counts P's distinct roots at endpoints where
+        # P is nonzero, as the chain of P / gcd would
+        chain = sturm_chain(p)
+        g = chain[-1]
         if len(g) > 1 and count_real_roots(g, lo, hi) >= 1:
             raise NotSquareFree(
                 f"repeated root of {poly_to_string(_monic(p))} in the interval")
-        if count_real_roots(self.poly, lo, hi) != 1:
+        if sturm_count(chain, lo, hi) != 1:
             raise NoRootIsolated("interval does not contain exactly one root")
 
     # -- interval refinement -------------------------------------------------

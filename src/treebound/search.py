@@ -109,11 +109,15 @@ def verify_certificate(s: BilinearSystem, alpha, vectors: Sequence[Vec]):
     x0 = vec_scale(s.v0, 1 / alpha)
     if not member_dominated_hull(x0, vectors):
         return Invalid(x0, "seed")
+    shown = set()                      # products inside: the hull is fixed
     for x in vectors:
         for y in vectors:
             p = apply(s, x, y)
+            if p in shown:
+                continue
             if not member_dominated_hull(p, vectors):
                 return Invalid(p, "product", (x, y))
+            shown.add(p)
     return Valid(level_max(s, vectors))
 
 
@@ -163,20 +167,28 @@ def find_certificate(s: BilinearSystem, alpha, seeds: Sequence[Vec] = (),
         if len(v) != s.dim:
             raise DimensionMismatch("seed vector of wrong dimension")
     X: List[Vec] = hull_reduce([x0, *seeds])
-    inside: set = set()               # pairs whose product is known to stay inside
+    # conv_<= only grows, so what was shown inside stays inside: the pairs
+    # (by vector number, so a vector is hashed once an iteration) and the
+    # products themselves, which several pairs can share
+    number: Dict[Vec, int] = {}
+    inside: set = set()
+    shown: set = set()
     provenance: Dict[Vec, Tuple[Vec, Vec]] = {}
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
         escapes: List[Tuple[Vec, Vec, Vec]] = []
-        for x in X:
-            for y in X:
-                if (x, y) in inside:
+        keyed = [(x, number.setdefault(x, len(number))) for x in X]
+        for x, i in keyed:
+            for y, j in keyed:
+                if (i, j) in inside:
                     continue
                 p = apply(s, x, y)
-                if member_dominated_hull(p, X):
-                    inside.add((x, y))   # conv_<= only grows: stays valid
-                else:
-                    escapes.append((p, x, y))
+                if p not in shown:
+                    if not member_dominated_hull(p, X):
+                        escapes.append((p, x, y))
+                        continue
+                    shown.add(p)
+                inside.add((i, j))
         if not escapes:
             field = s.number_field if number_field is None else number_field
             cert = Certificate(field, alpha, tuple(X), tuple(seeds),

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from simplex_reference import LPProblem, lp_solve as reference_lp, reference_member
 from treebound.errors import DimensionMismatch
+import treebound.geometry as geometry
 from treebound.geometry import (
     hull_reduce,
     lp_solve,
@@ -126,6 +127,94 @@ def test_lp_agrees_with_reference_sqrt2(sqrt2_field, query):
     assert (lam is not None) == reference_member(x, X)
     if lam is not None:
         assert_witness(lam, x, X)
+
+
+def test_lp_degenerate_pivot_hands_pricing_to_bland(monkeypatch):
+    # Dantzig's first pivot is degenerate (its row has rhs 0), so Bland's
+    # rule picks the next column, lambda_0, where Dantzig would take the
+    # surplus column 3; after that nondegenerate pivot Dantzig resumes
+    pivots = []
+
+    def eliminate(row, prow, c, *rest):
+        pivots.append((c, prow[-1]))
+        return _eliminate(row, prow, c, *rest)
+
+    _eliminate = geometry._eliminate
+    monkeypatch.setattr(geometry, "_eliminate", eliminate)
+    x, X = (Q(1, 2), Q(0), Q(1)), [(Q(0), Q(0), Q(2)), (Q(3), Q(2), Q(0))]
+    assert lp_solve(x, X) == (Q(5, 6), Q(1, 6))
+    per_pivot = pivots[::len(x) + 1]    # one pivot row per n + 1 rows
+    assert [c for c, _ in per_pivot] == [1, 0, 3, 4]
+    assert [sign_of(b) for _, b in per_pivot] == [0, 1, 1, 1]
+
+
+def test_member_escape_test_is_strict():
+    # x_0 = 1 ties the largest X_i0, so it escapes nothing: the LP decides
+    X = [(Q(1), Q(0), Q(1)), (Q(1), Q(1), Q(0))]
+    assert member_dominated_hull((Q(1), Q(1, 2), Q(1, 2)), X)
+    assert not member_dominated_hull((Q(1), Q(1, 2), Q(3, 2)), X)
+    assert not member_dominated_hull((Q(1), Q(2, 3), Q(2, 3)), X)
+
+
+# Larger, degeneracy-heavy queries: up to 7 coordinates and 25 vectors drawn
+# with repeats from a small pool, mostly zero entries, and x often on the
+# boundary of the hull (a convex combination of two vectors, some of its
+# coordinates nudged), where ties in the ratio test and zero rhs abound.
+
+sparse = st.sampled_from([0, 0, 0, 0, 1, 1, 2, 3, Q(1, 2), Q(2, 3)]).map(Q)
+
+
+@st.composite
+def hard_queries(draw, entry=sparse):
+    n = draw(st.integers(1, 7))
+    vec = st.tuples(*([entry] * n))
+    pool = draw(st.lists(vec, min_size=1, max_size=8))
+    m = draw(st.integers(1, 25))
+    X = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        return draw(vec), X
+    u, v = draw(st.sampled_from(X)), draw(st.sampled_from(X))
+    t = draw(st.sampled_from([Q(0), Q(1, 3), Q(1, 2), Q(1)]))
+    nudge = st.sampled_from([Q(0), Q(0), Q(0), Q(1, 5), Q(-1, 5)])
+    x = tuple(t * a + (1 - t) * b + draw(nudge) for a, b in zip(u, v))
+    return x, X
+
+
+def check_against_reference(x, X):
+    """lp_solve against the general simplex, and membership with its
+    domination and escape tests against the LP alone."""
+    lam = lp_solve(x, X)
+    assert (lam is not None) == reference_member(x, X)
+    if lam is not None:
+        assert_witness(lam, x, X)
+    if all(sign_of(a) >= 0 for a in x):
+        assert member_dominated_hull(x, X) == (lam is not None)
+
+
+@settings(max_examples=120, deadline=None)
+@given(hard_queries())
+def test_lp_agrees_with_reference_on_degenerate_queries(query):
+    check_against_reference(*query)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_lp_agrees_with_reference_on_degenerate_sqrt2_queries(sqrt2_field,
+                                                               data):
+    # a + b*sqrt(2), b mostly 0, so rows of both kinds and ties occur
+    root = sqrt2_field.alpha()
+    b = st.sampled_from([0, 0, 0, 1, Q(1, 2)]).map(Q)
+    entry = st.builds(lambda a, b: a + b * root if b else a, sparse, b)
+    check_against_reference(*data.draw(hard_queries(entry)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hard_queries())
+def test_lp_embedded_rational_query_takes_the_same_path(sqrt2_field, query):
+    # field elements with rational values build int rows: same lambda
+    x, X = query
+    emb = lambda v: tuple(sqrt2_field.element([c]) for c in v)
+    assert lp_solve(emb(x), [emb(v) for v in X]) == lp_solve(x, X)
 
 
 # -- membership ------------------------------------------------------------------

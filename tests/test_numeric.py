@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from exact_reference import (
     compare_isolated_roots,
     poly,
+    poly_deriv,
     poly_eval,
     poly_gcd,
     poly_monic,
@@ -26,6 +27,7 @@ from treebound.errors import (
     NoRootIsolated,
     NotInvertible,
     NotSquareFree,
+    ParseError,
 )
 from treebound.numeric import (
     NumberField,
@@ -40,6 +42,7 @@ from treebound.numeric import (
     nthroot_field,
     parse_field_header,
     parse_number,
+    parse_rational,
     poly_from_string,
     poly_to_string,
     primitive_gcd,
@@ -48,6 +51,7 @@ from treebound.numeric import (
     _hval,
 )
 from treebound.geometry import hull_reduce
+from treebound.search import parse_certificate
 
 rationals = st.builds(Q, st.integers(-60, 60), st.integers(1, 12))
 
@@ -114,6 +118,27 @@ def test_field_make_rejects_repeated_root_in_interval():
     p = poly_mul(poly_mul((Q(-1), Q(1)), (Q(-1), Q(1))), (Q(-3), Q(1)))
     with pytest.raises(NotSquareFree):
         field_make(p, Q(1, 2), 4)
+
+
+@pytest.mark.parametrize("factors,lo,hi,error", [
+    # (x-3)^2 (x^2-2): the double root lies outside, sqrt(2) inside
+    ([(-3, 1), (-3, 1), (-2, 0, 1)], 1, 2, None),
+    # (x-1)^2 (x-3)(x-4)(x-5): a sign change on (2, 6), but three roots
+    ([(-1, 1), (-1, 1), (-3, 1), (-4, 1), (-5, 1)], 2, 6, NoRootIsolated),
+    ([(-1, 1), (-1, 1), (-3, 1), (-4, 1), (-5, 1)], Q(5, 2), Q(7, 2), None),
+    # (x-2)^3 (x-3): the triple root is inside
+    ([(-2, 1), (-2, 1), (-2, 1), (-3, 1)], 1, Q(5, 2), NotSquareFree),
+])
+def test_isolation_counts_roots_with_the_polynomials_own_chain(
+        factors, lo, hi, error):
+    p = (Q(1),)
+    for f in factors:
+        p = poly_mul(p, poly(f))
+    if error is None:
+        assert NumberField(p, lo, hi).poly == int_poly(p)
+    else:
+        with pytest.raises(error):
+            NumberField(p, lo, hi)
 
 
 def test_reducible_polynomial_outside_interval_is_fine():
@@ -293,6 +318,29 @@ def test_sturm_count_when_the_remainder_skips_a_degree(p, roots):
     # two degrees below p', so the next pseudo-remainder is a negative
     # multiple of the remainder and must not be negated
     assert count_real_roots(p, -3, 3) == ref_count_roots(p, -3, 3) == roots
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_polys(), small_rationals, small_rationals)
+def test_isolation_agrees_with_reference(p, a, b):
+    # the checks in order: a sign change, no repeated root inside (the
+    # reference's gcd of P and P'), then exactly one distinct root
+    lo, hi = min(a, b), max(a, b) + Q(1, 3)
+    g = poly_gcd(p, poly_deriv(p))
+    if poly_eval(p, lo) * poly_eval(p, hi) >= 0:
+        expected = NoRootIsolated
+    elif len(g) > 1 and ref_count_roots(g, lo, hi) >= 1:
+        expected = NotSquareFree
+    elif ref_count_roots(p, lo, hi) != 1:
+        expected = NoRootIsolated
+    else:
+        expected = None
+    if expected is None:
+        assert NumberField(p, lo, hi).poly == int_poly(p)
+    else:
+        with pytest.raises(expected) as info:
+            NumberField(p, lo, hi)
+        assert type(info.value) is expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -492,6 +540,51 @@ def test_number_roundtrip(sqrt2_field):
     assert parse_number(s, sqrt2_field) == a
     assert parse_number("7/5") == Q(7, 5)
     assert format_number(Q(-3)) == "-3"
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, ZeroDivisionError, ParseError) as exc:
+        return type(exc), str(exc)
+
+
+RATIONAL_TOKENS = [
+    "0", "7", "-7", "007", "-0", "12345678901234567890", "3/4", "-3/4",
+    "6/8", "-6/-8", "0/5", "-0/5", "1/0", "-1/0", "0/0", "1/00", "+3",
+    "+3/4", " 3/4 ", "3 /4", "3/ 4", "\t-2\n", "1.5", "-1e3", "1_000",
+    "\u0663", "--1", "-", "", "/", "3/", "/4", "1/2/3", "abc", "0x10",
+    "3/4x", "1/-2", "\u00b2",
+]
+
+
+@pytest.mark.parametrize("tok", RATIONAL_TOKENS)
+def test_parse_rational_accepts_and_rejects_as_fraction_does(tok):
+    # the same value, or the same exception with the same message
+    assert _outcome(parse_rational, tok) == _outcome(lambda t: Q(t.strip()), tok)
+
+
+@pytest.mark.parametrize("tok", [t for t in RATIONAL_TOKENS
+                                 if t.split() == [t] and "," not in t])
+def test_poly_coefficients_and_certificate_lines_parse_as_before(
+        sqrt2_field, tok):
+    # a poly(...) coefficient and a whole certificate line: a bad value is a
+    # ParseError naming the line, a zero denominator stays ZeroDivisionError
+    literal = f"poly({tok},1)"
+    before = _outcome(lambda t: Q(t.strip()), tok)
+    if isinstance(before, tuple):
+        assert _outcome(parse_number, literal, sqrt2_field) == before
+        if before[0] is ValueError:
+            before = (ParseError, f"line 3: bad vec line: {before[1]}")
+    else:
+        assert parse_number(literal, sqrt2_field) == sqrt2_field.element(
+            [before, 1])
+    text = f"{sqrt2_field.header()}\nalpha 2\nvec {literal} {tok}\n"
+    got = _outcome(parse_certificate, text)
+    if isinstance(before, tuple):
+        assert got == before
+    else:
+        assert got.vectors == ((sqrt2_field.element([before, 1]), before),)
 
 
 def test_field_header_roundtrip(plastic_field):

@@ -84,6 +84,18 @@ def test_search_min_perfect_dom(fx, plastic_field):
     assert sign_of(r.certificate.C - cert.C) == 0
 
 
+def test_search_matchings5_at_13_10(fx):
+    # the search workload's search: memos and pricing change no step of it
+    s = fx.load_fixture_system(fx.BY_NAME["matchings5"])
+    r = find_certificate(s, Q(13, 10))
+    assert isinstance(r, Found)
+    assert r.iterations == 8
+    assert len(r.certificate.vectors) == 25
+    assert r.certificate.C == Q(40000, 28561)
+    assert verify_certificate(s, Q(13, 10), r.certificate.vectors) == Valid(
+        Q(40000, 28561))
+
+
 def test_search_determinism(indep_dom_system, sqrt2_field):
     r1 = find_certificate(indep_dom_system, sqrt2_field.alpha(),
                           number_field=sqrt2_field)
