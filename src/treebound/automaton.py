@@ -21,6 +21,7 @@ from .errors import (
     ParseError,
     UndeclaredState,
 )
+from .numeric import Directives
 from .system import BilinearSystem, apply, objective
 
 TreeTerm = Union[bool, tuple]   # leaf selection flag | (left, right)
@@ -63,46 +64,43 @@ def parse_automaton(text: str) -> TreeAutomaton:
     leaf0 = leaf1 = None
     trans: Dict[Tuple[str, str], str] = {}
 
-    def check_state(q: str, ln: int) -> str:
+    def check_state(q: str) -> str:
         if states is None or q not in states:
-            raise UndeclaredState(f"state {q!r} not declared", ln)
+            raise UndeclaredState(f"state {q!r} not declared")
         return q
 
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kind = parts[0]
-        if kind == "states":
-            if len(parts) < 2:
-                raise ParseError("empty states line", ln)
-            if len(set(parts[1:])) != len(parts) - 1:
-                raise ParseError("duplicate state name", ln)
-            states = tuple(parts[1:])
-        elif kind == "final":
-            finals.extend(check_state(q, ln) for q in parts[1:])
-        elif kind in ("leaf0", "leaf1"):
-            if len(parts) != 2:
-                raise ParseError(f"{kind} needs exactly one state", ln)
-            q = check_state(parts[1], ln)
-            if kind == "leaf0":
-                leaf0 = q
+    with Directives(text) as lines:
+        for line in lines:
+            kind, *args = line.split()
+            if kind == "states":
+                if not args:
+                    raise ParseError("empty states line")
+                if len(set(args)) != len(args):
+                    raise ParseError("duplicate state name")
+                states = tuple(args)
+            elif kind == "final":
+                finals.extend(check_state(q) for q in args)
+            elif kind in ("leaf0", "leaf1"):
+                if len(args) != 1:
+                    raise ParseError(f"{kind} needs exactly one state")
+                q = check_state(args[0])
+                if kind == "leaf0":
+                    leaf0 = q
+                else:
+                    leaf1 = q
+            elif kind == "trans":
+                if len(args) != 4 or args[2] != "->":
+                    raise ParseError("expected: trans q1 q2 -> q")
+                q1, q2, q = (check_state(args[i]) for i in (0, 1, 3))
+                if (q1, q2) in trans:
+                    raise DeterminismViolation(
+                        f"duplicate transition for ({q1}, {q2})")
+                trans[(q1, q2)] = q
+            elif kind == "trans1":
+                # J1 transitions contradict the consistent-selection convention
+                raise ParseError("J1 transitions are not allowed")
             else:
-                leaf1 = q
-        elif kind == "trans":
-            if len(parts) != 5 or parts[3] != "->":
-                raise ParseError("expected: trans q1 q2 -> q", ln)
-            q1, q2, q = (check_state(parts[i], ln) for i in (1, 2, 4))
-            if (q1, q2) in trans:
-                raise DeterminismViolation(
-                    f"duplicate transition for ({q1}, {q2})", ln)
-            trans[(q1, q2)] = q
-        elif kind == "trans1":
-            # J1 transitions contradict the consistent-selection convention
-            raise ParseError("J1 transitions are not allowed", ln)
-        else:
-            raise ParseError(f"unknown directive {kind!r}", ln)
+                raise ParseError(f"unknown directive {kind!r}")
     if states is None:
         raise ParseError("automaton file needs a states line")
     return TreeAutomaton(states, frozenset(finals), leaf0, leaf1, trans)

@@ -12,8 +12,9 @@ import sys
 from pathlib import Path
 
 from . import fixtures as fixreg
-from .errors import NoRootIsolated, NotSquareFree, ParseError, TreeboundError
+from .errors import ParseError, TreeboundError
 from .numeric import (
+    PARSE_FAULTS,
     Q,
     decimal_str,
     field_make,
@@ -22,6 +23,7 @@ from .numeric import (
     parse_rational,
     poly_from_string,
     poly_to_string,
+    read_text,
     sign_of,
 )
 from .oracle import (
@@ -54,7 +56,7 @@ def parse_alpha_spec(spec: str):
     spec = spec.strip()
     try:
         alpha, nf = _alpha_from_spec(spec)
-    except (NoRootIsolated, NotSquareFree) as exc:
+    except PARSE_FAULTS as exc:
         raise ParseError(f"alpha spec {spec!r}: {exc}") from None
     if sign_of(alpha) <= 0:
         raise ParseError(f"alpha must be positive: {spec!r}")
@@ -63,35 +65,18 @@ def parse_alpha_spec(spec: str):
 
 def _alpha_from_spec(spec: str):
     if spec.startswith("root(") and spec.endswith(")"):
-        body = spec[5:-1]
-        parts = body.rsplit(",", 2)
-        if len(parts) != 3:
-            raise ParseError(f"root(...) needs poly, lo, hi: {spec!r}")
-        try:
-            p = poly_from_string(parts[0])
-            lo, hi = parse_rational(parts[1]), parse_rational(parts[2])
-        except ValueError:
-            raise ParseError(f"cannot parse root(...) spec {spec!r}") from None
-        nf = field_make(p, lo, hi)
-        return nf.alpha(), nf
-    if spec.startswith("nthroot(") and spec.endswith(")"):
-        body = spec[8:-1]
-        parts = body.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"nthroot(...) needs value, n: {spec!r}")
-        try:
-            x, n = parse_rational(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"nthroot(...) needs a rational and an integer: "
-                             f"{spec!r}") from None
+        poly, lo, hi = spec[5:-1].rsplit(",", 2)
+        nf = field_make(poly_from_string(poly), parse_rational(lo),
+                        parse_rational(hi))
+    elif spec.startswith("nthroot(") and spec.endswith(")"):
+        x, n = spec[8:-1].split(",")
+        x, n = parse_rational(x), int(n)
         if n == 1:
             return x, None
         nf = nthroot_field(x, n)
-        return nf.alpha(), nf
-    try:
+    else:
         return parse_rational(spec), None
-    except ValueError:
-        raise ParseError(f"cannot parse alpha spec {spec!r}") from None
+    return nf.alpha(), nf
 
 
 def _load_trimmed(path):
@@ -122,7 +107,7 @@ def _write_out(text: str, path):
 
 
 def cmd_compile(args) -> int:
-    automaton = parse_automaton(Path(args.automaton).read_text())
+    automaton = parse_automaton(read_text(args.automaton))
     system = compile_automaton(automaton)
     if args.trim:
         system, kept = trim(system)
@@ -279,9 +264,8 @@ def cmd_fixtures(args) -> int:
             alpha, nf = parse_alpha_spec(f.alpha_spec)
             seeds = ()
             if f.search_seed_file:
-                from .search import parse_certificate
-                seeds = parse_certificate(
-                    fixreg.read_data(f.search_seed_file)).seeds
+                seeds = load_certificate(
+                    fixreg.data_path(f.search_seed_file)).seeds
             result = find_certificate(system, alpha, seeds,
                                       number_field=nf)
             ok = isinstance(result, Found)
@@ -372,8 +356,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except TreeboundError as exc:
         print(f"error: {exc}", file=sys.stderr)

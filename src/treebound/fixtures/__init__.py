@@ -26,7 +26,6 @@ class Fixture:
     # choices per `vertices` tree vertices; a 1x1 transfer matrix
     direct_count: Optional[Tuple[int, int]] = None
     alpha_spec: Optional[str] = None      # CLI grammar for the scaling value
-    expected_c: Optional[str] = None      # exact C in the number syntax
     claim: str = ""                       # the certified statement, human form
     search_seed_file: Optional[str] = None  # extra seeds the search needs
     slow_search: bool = False             # long reproduction run; flagged
@@ -40,7 +39,6 @@ FIXTURES: Tuple[Fixture, ...] = (
         automaton="indep_dom.automaton",
         certificate="indep_dom.cert",
         alpha_spec="root(x^2-2,1,2)",
-        expected_c="1",
         claim="count(n) <= 2^(n/2), sharp up to the factor sqrt(2)",
     ),
     Fixture(
@@ -51,7 +49,6 @@ FIXTURES: Tuple[Fixture, ...] = (
         certificate="total_perfect_dom.cert",
         direct_count=(2 ** 27 * 7, 85),
         alpha_spec="nthroot(939524096,85)",
-        expected_c=None,  # C = alpha^80 / 234881024; held in the cert file
         claim="count(n) <= C*alpha^n with alpha = (2^27*7)^(1/85) ~ 1.275157, "
               "sharp",
         slow_search=True,  # the unseeded search is a ten-minute run
@@ -63,7 +60,6 @@ FIXTURES: Tuple[Fixture, ...] = (
         certificate="perfect_codes.cert",
         direct_count=(3, 7),
         alpha_spec="nthroot(3,7)",
-        expected_c="poly(0,0,0,0,0,2/3)",
         claim="count(n) <= (2/3)alpha^5 * alpha^n with alpha = 3^(1/7) "
               "~ 1.16993, sharp",
     ),
@@ -75,7 +71,6 @@ FIXTURES: Tuple[Fixture, ...] = (
         gadget="min_perfect_dom.gadget",
         gadget_size=1,
         alpha_spec="root(x^3-x-1,1,2)",
-        expected_c="poly(2,2,-2)",
         claim="count(n) <= C*alpha^n with alpha ~ 1.32472 the real root of "
               "x^3-x-1, sharp even for paths",
     ),
@@ -115,7 +110,6 @@ FIXTURES: Tuple[Fixture, ...] = (
         system="max_matchings.system",
         certificate="max_matchings.cert",
         alpha_spec="root(x^14-11x^7+9,1,2)",
-        expected_c="poly(0,0,0,11/3,0,0,0,0,0,0,-1/3)",
         claim="count(n) <= C*alpha^n with alpha^7 = (11+sqrt(85))/2, "
               "alpha ~ 1.391664, sharp (maximum matchings attain it)",
         search_seed_file="max_matchings.cert",

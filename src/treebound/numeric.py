@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from math import gcd, lcm
+from pathlib import Path
 from typing import Iterable, Sequence, Tuple
 
 from .errors import (
@@ -30,6 +31,7 @@ from .errors import (
     NoRootIsolated,
     NotInvertible,
     NotSquareFree,
+    ParseError,
 )
 
 QZERO = Q(0)
@@ -815,14 +817,57 @@ def decimal_str(x, digits: int = 6) -> str:
 #   field headers:     field: c0,c1,...,cd ; interval p/q r/s
 # ---------------------------------------------------------------------------
 
+# what reading a malformed line or --alpha spec raises before the ParseError
+PARSE_FAULTS = (ValueError, IndexError, ZeroDivisionError, NoRootIsolated,
+                NotSquareFree)
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of a file; one that cannot be read is a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        why = exc.strerror if isinstance(exc, OSError) else "not UTF-8"
+        raise ParseError(f"cannot read {path}: {why}") from None
+
+
+class Directives:
+    """The lines of a text without `#` comments, stripped, blank ones
+    skipped; a parser reads them all in one `with` block.  An error leaving
+    the block is reported at the current line: a ParseError gets its number,
+    and a PARSE_FAULTS error becomes "line N: bad <directive> line: ...".
+    """
+
+    def __init__(self, text: str):
+        self.text, self.ln, self.line = text, None, ""
+
+    def __iter__(self):
+        for self.ln, raw in enumerate(self.text.splitlines(), start=1):
+            self.line = raw.split("#", 1)[0].strip()
+            if self.line:
+                yield self.line
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, ParseError) and exc.line is None:
+            raise kind(str(exc), self.ln) from None
+        if isinstance(exc, PARSE_FAULTS):
+            word = self.line.split()[0].rstrip(":")
+            raise ParseError(f"bad {word} line: {exc}", self.ln) from None
+
+
 def parse_number(tok: str, field: NumberField | None = None):
+    """A rational, as an int when it is integral, or a poly(...) element."""
     tok = tok.strip()
     if tok.startswith("poly(") and tok.endswith(")"):
         if field is None:
             raise ValueError("poly(...) literal needs an ambient field")
         coeffs = [parse_rational(c) for c in tok[5:-1].split(",")]
         return field.element(coeffs)
-    return parse_rational(tok)
+    x = parse_rational(tok)
+    return x.numerator if x.denominator == 1 else x
 
 
 def format_number(x) -> str:
@@ -836,14 +881,9 @@ def format_number(x) -> str:
 
 
 def parse_field_header(line: str) -> NumberField:
-    body = line.split(":", 1)[1]
-    try:
-        coeff_part, iv_part = body.split(";")
-        coeffs = [parse_rational(c) for c in coeff_part.split(",")]
-        iv = iv_part.split()
-        if iv[0] != "interval" or len(iv) != 3:
-            raise ValueError
-        lo, hi = parse_rational(iv[1]), parse_rational(iv[2])
-    except (ValueError, IndexError) as exc:
-        raise ValueError(f"malformed field header {line!r}") from exc
-    return field_make(coeffs, lo, hi)
+    coeffs, interval = line.split(":", 1)[1].split(";")
+    word, lo, hi = interval.split()
+    if word != "interval":
+        raise ValueError(f"expected 'interval lo hi' after ';', got {word!r}")
+    return field_make([parse_rational(c) for c in coeffs.split(",")],
+                      parse_rational(lo), parse_rational(hi))

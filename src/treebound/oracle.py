@@ -47,9 +47,6 @@ class ShapeEnumerator:
             self._memo[k] = out
         return self._memo[k]
 
-    def count(self, k: int) -> int:
-        return len(self.shapes(k))
-
 
 _SHARED_SHAPES = ShapeEnumerator()
 

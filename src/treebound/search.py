@@ -35,11 +35,14 @@ from .geometry import (
     vec_sub,
 )
 from .numeric import (
+    Directives,
     NumberField,
     decimal_str,
     format_number,
+    invert,
     parse_field_header,
     parse_number,
+    read_text,
     sign_of,
 )
 from .system import BilinearSystem, apply, bk_levels, level_max
@@ -106,7 +109,7 @@ def verify_certificate(s: BilinearSystem, alpha, vectors: Sequence[Vec]):
             raise ValueError("certificate vectors must be nonnegative")
     if sign_of(alpha) <= 0:
         raise NonPositiveScale("alpha must be positive")
-    x0 = vec_scale(s.v0, 1 / alpha)
+    x0 = vec_scale(s.v0, invert(alpha))
     if not member_dominated_hull(x0, vectors):
         return Invalid(x0, "seed")
     shown = set()                      # products inside: the hull is fixed
@@ -134,7 +137,7 @@ def _geometric_limit(u: Vec, v: Vec, w: Vec) -> Optional[Vec]:
     r = None
     for a, b in zip(d1, d2):
         if sign_of(a) != 0:
-            r = b / a
+            r = b * invert(a)
             break
     if r is None:
         return None
@@ -162,7 +165,7 @@ def find_certificate(s: BilinearSystem, alpha, seeds: Sequence[Vec] = (),
     """
     if sign_of(alpha) <= 0:
         raise NonPositiveScale("alpha must be positive")
-    x0 = vec_scale(s.v0, 1 / alpha)
+    x0 = vec_scale(s.v0, invert(alpha))
     for v in seeds:
         if len(v) != s.dim:
             raise DimensionMismatch("seed vector of wrong dimension")
@@ -240,7 +243,7 @@ def growth_trace(s: BilinearSystem, alpha, kmax: int = 10) -> Tuple:
         levels = bk_levels(s, kmax, prune=True)
     except LevelBudgetExceeded:
         return ()
-    inv = 1 / alpha
+    inv = invert(alpha)
     out = []
     scale = 1
     for k in range(1, kmax + 1):
@@ -303,31 +306,23 @@ def parse_certificate(text: str) -> Certificate:
     vectors: List[Vec] = []
     names = None
     c_stated = None
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kind = parts[0]
-        try:
+    with Directives(text) as lines:
+        for line in lines:
+            kind, *args = line.split()
             if line.startswith("field:"):
                 nf = parse_field_header(line)
             elif kind == "states":
-                names = tuple(parts[1:])
+                names = tuple(args)
             elif kind == "alpha":
-                alpha = parse_number(parts[1], nf)
+                alpha = parse_number(args[0], nf)
             elif kind == "seed":
-                seeds.append(tuple(parse_number(t, nf) for t in parts[1:]))
+                seeds.append(tuple(parse_number(t, nf) for t in args))
             elif kind == "vec":
-                vectors.append(tuple(parse_number(t, nf) for t in parts[1:]))
+                vectors.append(tuple(parse_number(t, nf) for t in args))
             elif kind == "C":
-                c_stated = parse_number(parts[1], nf)
+                c_stated = parse_number(args[0], nf)
             else:
-                raise ParseError(f"unknown directive {kind!r}", ln)
-        except ParseError:
-            raise
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"bad {kind} line: {exc}", ln) from None
+                raise ParseError(f"unknown directive {kind!r}")
     if alpha is None or not vectors:
         raise ParseError("certificate needs an alpha line and vec lines")
     dims = {len(v) for v in vectors} | {len(v) for v in seeds}
@@ -337,5 +332,4 @@ def parse_certificate(text: str) -> Certificate:
 
 
 def load_certificate(path) -> Certificate:
-    from pathlib import Path
-    return parse_certificate(Path(path).read_text())
+    return parse_certificate(read_text(path))

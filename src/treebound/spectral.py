@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import (
-    DimensionMismatch,
     MultipleHoles,
     NegativeEntry,
     NoRealRoot,
     ParseError,
 )
 from .numeric import (
+    Directives,
     NumberField,
     Poly,
     Q,
@@ -30,11 +30,12 @@ from .numeric import (
     largest_real_root,
     poly_trim,
     power_root_field,
+    read_text,
     sign_of,
 )
 from .system import BilinearSystem, apply
 
-# Gadget expressions: 'V0' | 'HOLE' | ('vec', Vec) | ('B', g1, g2)
+# Gadget expressions: 'V0' | 'HOLE' | ('B', g1, g2)
 Gadget = object
 
 
@@ -54,10 +55,6 @@ def eval_gadget(s: BilinearSystem, g: Gadget, hole_value=None):
         if hole_value is None:
             raise MultipleHoles("expression has a hole but no value was given")
         return hole_value
-    if isinstance(g, tuple) and g and g[0] == "vec":
-        if len(g[1]) != s.dim:
-            raise DimensionMismatch("named vector has the wrong dimension")
-        return g[1]
     if isinstance(g, tuple) and g and g[0] == "B":
         return apply(s, eval_gadget(s, g[1], hole_value),
                      eval_gadget(s, g[2], hole_value))
@@ -215,42 +212,40 @@ def lower_bound_from_matrix(m: SquareMatrix, gadget_size: int,
 def parse_gadget(text: str) -> Gadget:
     defs: dict = {}
     last: Optional[Gadget] = None
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" in line:
-            name, expr = line.split("=", 1)
-            name = name.strip()
-            if name in ("V0", "HOLE", "B") or not name.isidentifier():
-                raise ParseError(f"bad definition name {name!r}", ln)
-            defs[name] = _parse_expr(expr.strip(), defs, ln)
-        else:
-            last = _parse_expr(line, defs, ln)
+    with Directives(text) as lines:
+        for line in lines:
+            if "=" in line:
+                name, expr = line.split("=", 1)
+                name = name.strip()
+                if name in ("V0", "HOLE", "B") or not name.isidentifier():
+                    raise ParseError(f"bad definition name {name!r}")
+                defs[name] = _parse_expr(expr.strip(), defs)
+            else:
+                last = _parse_expr(line, defs)
     if last is None:
         raise ParseError("gadget file has no expression line")
     return last
 
 
-def _parse_expr(s: str, defs: dict, ln: int) -> Gadget:
-    expr, rest = _parse_prefix(s, defs, ln)
+def _parse_expr(s: str, defs: dict) -> Gadget:
+    expr, rest = _parse_prefix(s, defs)
     if rest.strip():
-        raise ParseError(f"trailing input {rest!r}", ln)
+        raise ParseError(f"trailing input {rest!r}")
     return expr
 
 
-def _parse_prefix(s: str, defs: dict, ln: int):
+def _parse_prefix(s: str, defs: dict):
     s = s.lstrip()
     if s.startswith("B(") or s.startswith("B ("):
         body = s[s.index("(") + 1:]
-        left, rest = _parse_prefix(body, defs, ln)
+        left, rest = _parse_prefix(body, defs)
         rest = rest.lstrip()
         if not rest.startswith(","):
-            raise ParseError("expected ',' in B(.,.)", ln)
-        right, rest = _parse_prefix(rest[1:], defs, ln)
+            raise ParseError("expected ',' in B(.,.)")
+        right, rest = _parse_prefix(rest[1:], defs)
         rest = rest.lstrip()
         if not rest.startswith(")"):
-            raise ParseError("expected ')' in B(.,.)", ln)
+            raise ParseError("expected ')' in B(.,.)")
         return ("B", left, right), rest[1:]
     for stop in range(len(s)):
         if s[stop] in ",()":
@@ -263,9 +258,8 @@ def _parse_prefix(s: str, defs: dict, ln: int):
         return name, rest
     if name in defs:
         return defs[name], rest
-    raise ParseError(f"unknown gadget symbol {name!r}", ln)
+    raise ParseError(f"unknown gadget symbol {name!r}")
 
 
 def load_gadget(path) -> Gadget:
-    from pathlib import Path
-    return parse_gadget(Path(path).read_text())
+    return parse_gadget(read_text(path))

@@ -19,11 +19,12 @@ from .errors import (
     ParseError,
 )
 from .numeric import (
+    Directives,
     NumberField,
-    Q,
     format_number,
     parse_field_header,
     parse_number,
+    read_text,
     sign_of,
 )
 from .geometry import Vec, vec_dot, vec_leq
@@ -221,53 +222,30 @@ def level_max(s: BilinearSystem, level: Sequence[Vec]):
 #   # comments; optional "field:" header allows algebraic entries
 
 
-def _parse_entry(tok: str, number_field: Optional[NumberField]):
-    """An entry of V0, F or a term: an integral rational becomes an int, so
-    an integer system counts in ints from parse to level maxima."""
-    x = parse_number(tok, number_field)
-    if isinstance(x, Q) and x.denominator == 1:
-        return x.numerator
-    return x
-
-
-def parse_system(text: str, coord_names: Optional[Sequence[str]] = None
-                 ) -> BilinearSystem:
+def parse_system(text: str) -> BilinearSystem:
     dim = None
-    v0 = f = None
+    v0 = f = names = None
     terms: List[Term] = []
     number_field = None
-    names: Optional[Tuple[str, ...]] = tuple(coord_names) if coord_names else None
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("field:"):
-            try:
+    with Directives(text) as lines:
+        for line in lines:
+            kind, *args = line.split()
+            if line.startswith("field:"):
                 number_field = parse_field_header(line)
-            except ValueError as exc:
-                raise ParseError(str(exc), ln) from None
-            continue
-        parts = line.split()
-        kind = parts[0]
-        try:
-            if kind == "dim":
-                dim = int(parts[1])
+            elif kind == "dim":
+                dim = int(args[0])
             elif kind == "V0":
-                v0 = tuple(_parse_entry(t, number_field) for t in parts[1:])
+                v0 = tuple(parse_number(t, number_field) for t in args)
             elif kind == "F":
-                f = tuple(_parse_entry(t, number_field) for t in parts[1:])
+                f = tuple(parse_number(t, number_field) for t in args)
             elif kind == "term":
-                q, q1, q2 = (int(parts[i]) - 1 for i in (1, 2, 3))
-                c = _parse_entry(parts[4], number_field) if len(parts) > 4 else 1
+                q, q1, q2 = (int(args[i]) - 1 for i in (0, 1, 2))
+                c = parse_number(args[3], number_field) if len(args) > 3 else 1
                 terms.append((q, q1, q2, c))
             elif kind == "states":
-                names = tuple(parts[1:])
+                names = tuple(args)
             else:
-                raise ParseError(f"unknown directive {kind!r}", ln)
-        except ParseError:
-            raise
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"bad {kind} line: {exc}", ln) from None
+                raise ParseError(f"unknown directive {kind!r}")
     if dim is None or v0 is None or f is None:
         raise ParseError("system file needs dim, V0 and F lines")
     if names is not None and len(names) != dim:
@@ -294,5 +272,4 @@ def format_system(s: BilinearSystem) -> str:
 
 
 def load_system(path) -> BilinearSystem:
-    from pathlib import Path
-    return parse_system(Path(path).read_text())
+    return parse_system(read_text(path))

@@ -16,6 +16,10 @@ def data(name) -> str:
     return str(fixreg.data_path(name))
 
 
+DATA_DIR = data("")
+SQRT2 = b"field: -2,0,1 ; interval 1 2\n"
+
+
 def test_parse_alpha_spec_grammar():
     v, nf = parse_alpha_spec("7/5")
     assert v == Q(7, 5) and nf is None
@@ -224,14 +228,42 @@ def test_spectral_cli_exact_root(capsys, count, size, beta):
     ["bound", data("indep_dom.system"), "--alpha", "nthroot(-3,2)"],
     ["bound", data("indep_dom.system"), "--alpha", "root(x^2+1,0,1)"],
     ["oracle", "--system", data("indep_dom.system"), "--k", "13"],
+    # bytes stand for a file with those contents
+    ["verify", data("indep_dom.system"), b"alpha 2\nvec 1/0 1\n"],
+    ["verify", data("indep_dom.system"),
+     SQRT2 + b"alpha poly(0,1/0)\nvec 1 1\n"],
+    ["verify", data("indep_dom.system"),
+     b"field: -2,0,1 ; interval 1 0/0\nalpha 2\nvec 1 1\n"],
+    ["verify", b"dim 2\nV0 1/0 1\nF 0 1\n", data("indep_dom.cert")],
+    ["verify", b"dim 2\nV0 1 1\nF 0 1\nterm 1 1 1 2/0\n",
+     data("indep_dom.cert")],
+    ["verify", b"field: -2,0,1 ; interval 1 2/0\ndim 2\nV0 1 1\nF 0 1\n",
+     data("indep_dom.cert")],
+    ["verify", data("indep_dom.system"),
+     b"field: -2,0,1 ; interval 2 3\nalpha 2\nvec 1 1\n"],
+    ["verify", data("indep_dom.system"),
+     b"field: 4,-4,1 ; interval 1 3\nalpha 2\nvec 1 1\n"],
+    ["bound", data("indep_dom.system"), "--alpha", "3/0"],
+    ["bound", data("indep_dom.system"), "--alpha", "root(x^2-2,1,2/0)"],
+    ["bound", data("indep_dom.system"), "--alpha", "nthroot(3/0,2)"],
+    ["verify", DATA_DIR, DATA_DIR],
+    ["verify", b"\xff\xfe dim 2\n", data("indep_dom.cert")],
 ])
-def test_bad_input_exits_2_without_traceback(capsys, argv):
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
+    argv = list(argv)
+    for i, arg in enumerate(argv):
+        if isinstance(arg, bytes):
+            path = tmp_path / f"input{i}"
+            path.write_bytes(arg)
+            argv[i] = str(path)
     try:
         rc = main(argv)
     except SystemExit as exc:  # argparse rejects the value
         rc = exc.code
     assert rc == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(("usage:", "parse error: "))
 
 
 def test_fixtures_list(capsys):
@@ -239,6 +271,17 @@ def test_fixtures_list(capsys):
     out = capsys.readouterr().out
     for f in fixreg.FIXTURES:
         assert f.name in out
+
+
+def test_fixtures_run_verifies_and_bounds(capsys):
+    assert main(["fixtures", "run", "indep_dom", "min_perfect_dom",
+                 "perfect_codes"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("certificate VALID") == 3
+    assert "lower bound ~ 1.324718" in out
+    assert "lower bound from 3 selections per 7 vertices ~ 1.169931" in out
+    assert main(["fixtures", "run", "indep_dom", "--search"]) == 0
+    assert "search: converged" in capsys.readouterr().out
 
 
 def test_fixtures_unknown_name(capsys):

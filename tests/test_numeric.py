@@ -568,14 +568,14 @@ def test_parse_rational_accepts_and_rejects_as_fraction_does(tok):
                                  if t.split() == [t] and "," not in t])
 def test_poly_coefficients_and_certificate_lines_parse_as_before(
         sqrt2_field, tok):
-    # a poly(...) coefficient and a whole certificate line: a bad value is a
-    # ParseError naming the line, a zero denominator stays ZeroDivisionError
+    # a poly(...) coefficient raises as Fraction does, a zero denominator
+    # included; in a whole certificate line any bad value is a ParseError
+    # naming the line
     literal = f"poly({tok},1)"
     before = _outcome(lambda t: Q(t.strip()), tok)
     if isinstance(before, tuple):
         assert _outcome(parse_number, literal, sqrt2_field) == before
-        if before[0] is ValueError:
-            before = (ParseError, f"line 3: bad vec line: {before[1]}")
+        before = (ParseError, f"line 3: bad vec line: {before[1]}")
     else:
         assert parse_number(literal, sqrt2_field) == sqrt2_field.element(
             [before, 1])

@@ -11,13 +11,14 @@ from treebound.search import (
     Invalid,
     SearchConfig,
     Valid,
+    _geometric_limit,
     find_certificate,
     format_certificate,
     parse_certificate,
     upper_bound_report,
     verify_certificate,
 )
-from treebound.system import apply, bk_levels, level_max, trim
+from treebound.system import apply, bk_levels, level_max, parse_system, trim
 
 
 def hulls_equal(A, B):
@@ -173,6 +174,16 @@ def test_certificate_roundtrip(indep_dom_system, indep_dom_cert):
                             indep_dom_cert.vectors)
     assert isinstance(r1, Valid) and isinstance(r2, Valid)
     assert sign_of(r1.C - r2.C) == 0
+
+
+def test_integral_entries_read_as_ints_and_divide_exactly():
+    s = parse_system("dim 1\nV0 1\nF 1\nterm 1 1 1\n")
+    cert = parse_certificate("alpha 2\nseed 1\nvec 1/2\n")
+    assert type(cert.alpha) is int and type(cert.seeds[0][0]) is int
+    assert verify_certificate(s, cert.alpha, cert.vectors) == Valid(Q(1, 2))
+    # an orbit of int vectors has a rational ratio and limit
+    limit = _geometric_limit((0, 0), (2, 4), (3, 6))
+    assert limit == (4, 8) and all(type(c) is Q for c in limit)
 
 
 def test_certificate_parse_errors():
