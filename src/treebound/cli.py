@@ -343,7 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    # argparse fills `fixtures run`'s names on reading `run`, so names after
+    # --search come back unparsed
+    args, rest = ap.parse_known_args(argv)
+    if args.command == "fixtures" and not any(a.startswith("-") for a in rest):
+        args.names += rest
+    elif rest:
+        ap.error(f"unrecognized arguments: {' '.join(rest)}")
     if args.command == "spectral" and args.count is None and (
             args.system is None or args.gadget is None):
         ap.error("spectral needs either --count or a system and --gadget")

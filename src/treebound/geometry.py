@@ -2,15 +2,17 @@
 
 The certificate machinery asks one LP question: is x in conv_<=(X), the
 downward closure of the convex hull of X inside the nonnegative orthant?
-`lp_solve` answers it with a phase-1 simplex over any exact ordered
-coefficient type (rationals or elements of one algebraic number field).  On
-top of it sit membership and the reduction of a vector set to a minimal
-subset with the same dominated hull.
+`lp_solve` answers it with a revised phase-1 simplex over any exact ordered
+coefficient type (rationals or elements of one algebraic number field): it
+keeps only the scaled basis inverse and the right-hand side, and prices the
+original columns against it.  On top of it sit membership and the reduction
+of a vector set to a minimal subset with the same dominated hull.
 """
 
 from __future__ import annotations
 
 from math import lcm
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
@@ -59,18 +61,22 @@ def vec_is_nonnegative(u: Vec) -> bool:
 def lp_solve(x: Vec, X: Sequence[Vec]) -> Optional[Vec]:
     """lambda >= 0 with sum lambda = 1 and sum lambda_i X_i >= x, or None.
 
-    Phase 1 of the simplex from the artificial basis.  The pivots are
-    integer-preserving (Edmonds 1967, Bareiss 1968): the tableau holds every
-    entry times d, the last pivot, and each pivot divides exactly by the
-    previous d.  A row whose entries all have rational values is scaled to
-    ints by its lcm denominator, so it stays in ints with no gcd work; over
-    Q(alpha) the same loop multiplies by one inverse of d per pivot.
+    Phase 1 of the revised simplex (Dantzig & Orchard-Hays 1954) on A z = b,
+    z = (lambda, a surplus per coordinate), from the artificial basis.  Only
+    [M | beta] is kept: M = d * B^-1, the basis inverse times d, the last
+    pivot, and beta = M b.  The pivots are integer-preserving (Edmonds 1967,
+    Bareiss 1968): each divides exactly by the previous d.  A row of A whose
+    entries all have rational values is scaled to ints by its lcm
+    denominator; with every row so scaled, [M | beta] stays in ints with no
+    gcd work, and over Q(alpha) the update multiplies by one inverse of d
+    per pivot.
 
-    Pricing: while the whole tableau is in ints, the most negative reduced
-    cost enters (Dantzig), lowest index on ties.  Bland's rule (lowest index
-    with a negative reduced cost) prices a tableau with field entries, and
-    any pivot after a degenerate one (pivot row rhs 0) until the next
-    nondegenerate one; a cycle is a run of degenerate pivots, and under
+    Pricing: column j of A has the reduced cost -u.A_j (times d), u the sum
+    of the rows of M whose basic variable is still artificial.  On all-int
+    data the most negative one enters (Dantzig), lowest index on ties.
+    Bland's rule (the lowest index with a negative reduced cost) prices field
+    data, and any pivot after a degenerate one (pivot row rhs 0) until the
+    next nondegenerate one; a cycle is a run of degenerate pivots, and under
     Bland's rule no such run repeats a basis, so phase 1 terminates.
     """
     m, n = len(X), len(x)
@@ -82,7 +88,6 @@ def lp_solve(x: Vec, X: Sequence[Vec]) -> Optional[Vec]:
         vals = [a.rational_value() if isinstance(a, AlgebraicNumber) else a
                 for a in data]
         if any(a is None for a in vals):
-            # no int in a field row: a row is all ints or has none
             data, one, zero = [a if isinstance(a, AlgebraicNumber) else Q(a)
                                for a in data], QONE, QZERO
             all_int = False
@@ -95,67 +100,74 @@ def lp_solve(x: Vec, X: Sequence[Vec]) -> Optional[Vec]:
         row = data[:-1] + [zero] * n + data[-1:]
         row[m + j] = -one
         rows.append(row)
+    cols = list(zip(*rows))[:width]  # A by columns
+    # [M | beta], from the artificial basis: M = I, beta = b
+    inv_rhs = [[int(i == k) for k in range(n + 1)] + row[-1:]
+               for i, row in enumerate(rows)]
     basis = [width + i for i in range(n + 1)]   # artificials, never stored
-    cost = [-sum(col) for col in zip(*rows)]    # phase-1 reduced costs, -w
     d = 1
     bland = not all_int
-    while sign_of(cost[-1]) != 0:
+    while True:
+        art = [row for row, b in zip(inv_rhs, basis) if b >= width]
+        u = [sum(c) for c in zip(*art)] or [0]  # u[-1] = w, the infeasibility
+        if sign_of(u[-1]) == 0:
+            break
+        cost = (-sum(map(mul, u, a)) for a in cols)
         if bland:
-            enter = next((j for j in range(width) if sign_of(cost[j]) < 0), -1)
+            enter = next((j for j, c in enumerate(cost) if sign_of(c) < 0), -1)
         else:
-            low = min(cost[:width])
+            cost = list(cost)
+            low = min(cost)
             enter = cost.index(low) if low < 0 else -1
         if enter < 0:
             return None             # optimal with artificials left: infeasible
+        a = cols[enter]
+        t = [sum(map(mul, row, a)) for row in inv_rhs]  # M A_enter
         leave = -1
-        for i, row in enumerate(rows):
-            a = row[enter]
-            if sign_of(a) <= 0:
+        for i, (ti, row) in enumerate(zip(t, inv_rhs)):
+            if sign_of(ti) <= 0:
                 continue
             if leave < 0:
                 leave = i
                 continue
-            la, lb = rows[leave][enter], rows[leave][-1]
-            s = sign_of(row[-1] * la - lb * a)
+            s = sign_of(row[-1] * t[leave] - inv_rhs[leave][-1] * ti)
             if s < 0 or (s == 0 and basis[i] < basis[leave]):
                 leave = i
         if leave < 0:
             raise ArithmeticError("phase 1 cannot be unbounded")
-        prow = rows[leave]
-        p = prow[enter]
-        bland = not all_int or sign_of(prow[-1]) == 0
-        ints = type(p) is int and type(d) is int
-        inv = invert(d)
-        for i, row in enumerate(rows):
-            if i != leave:
-                rows[i] = _eliminate(row, prow, enter, d, inv, ints)
-        cost = _eliminate(cost, prow, enter, d, inv, ints)
-        basis[leave] = enter
-        d = p
+        bland = not all_int or sign_of(inv_rhs[leave][-1]) == 0
+        d = _pivot(inv_rhs, basis, t, leave, enter, d, all_int)
     lam = [QZERO] * m
     inv = invert(d)
-    for i, b in enumerate(basis):
+    for row, b in zip(inv_rhs, basis):
         if b < m:
-            lam[b] = rows[i][-1] * inv
+            lam[b] = row[-1] * inv
     return tuple(lam)
 
 
-def _eliminate(row, prow, c, d, inv, ints):
-    """(p*row - f*prow) / d for p = prow[c], f = row[c], exactly.
-
-    The quotient is a minor of the scaled data, so an all-int row divides
-    exactly; any other row takes p/d and f/d once, then two products an entry.
-    """
-    p, f = prow[c], row[c]
-    if ints and type(f) is int:
-        return [(p * a - f * b) // d for a, b in zip(row, prow)]
-    if f == 0:
-        if p == d:
-            return row
+def _pivot(rows, basis, t, leave, enter, d, ints):
+    """Make column `enter` of A, t = M A_enter, basic in row `leave`: each
+    other row r of [M | beta] becomes (p*r - t_i*prow) / d for p = t[leave],
+    the new d.  The quotient is a minor of the data, so int rows divide
+    exactly; field rows take p/d and t_i/d, then two products an entry."""
+    prow, p = rows[leave], t[leave]
+    if not ints:
+        inv = invert(d)
         s = p * inv
-        return [s * a for a in row]
-    s, t = p * inv, f * inv
-    return [s * a - t * b for a, b in zip(row, prow)]
+    for i, f in enumerate(t):
+        if i == leave:
+            continue
+        row = rows[i]
+        if ints:
+            rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+        elif f == 0:
+            if p != d:
+                rows[i] = [s * a for a in row]
+        else:
+            g = f * inv
+            rows[i] = [s * a - g * b for a, b in zip(row, prow)]
+    basis[leave] = enter
+    return p
 
 
 # -- dominated convex hull -----------------------------------------------------

@@ -280,8 +280,15 @@ def test_fixtures_run_verifies_and_bounds(capsys):
     assert out.count("certificate VALID") == 3
     assert "lower bound ~ 1.324718" in out
     assert "lower bound from 3 selections per 7 vertices ~ 1.169931" in out
-    assert main(["fixtures", "run", "indep_dom", "--search"]) == 0
-    assert "search: converged" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["run", "indep_dom", "--search"],
+                                  ["run", "--search", "indep_dom"]])
+def test_fixtures_run_search_takes_names_either_side(capsys, argv):
+    assert main(["fixtures", *argv]) == 0
+    out = capsys.readouterr().out
+    assert re.findall(r"^== (\w+):", out, re.MULTILINE) == ["indep_dom"]
+    assert "search: converged" in out
 
 
 def test_fixtures_unknown_name(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simplex_reference import LPProblem, lp_solve as reference_lp, reference_member
+from tableau_reference import lp_solve as tableau_lp
 from treebound.errors import DimensionMismatch
 import treebound.geometry as geometry
 from treebound.geometry import (
@@ -13,6 +14,7 @@ from treebound.geometry import (
     vec_leq,
     )
 from treebound.numeric import Q, sign_of
+from treebound.search import Valid, verify_certificate
 
 
 def lp(rows, senses, rhs, obj, direction):
@@ -133,17 +135,16 @@ def test_lp_degenerate_pivot_hands_pricing_to_bland(monkeypatch):
     # Dantzig's first pivot is degenerate (its row has rhs 0), so Bland's
     # rule picks the next column, lambda_0, where Dantzig would take the
     # surplus column 3; after that nondegenerate pivot Dantzig resumes
-    pivots = []
+    per_pivot = []
 
-    def eliminate(row, prow, c, *rest):
-        pivots.append((c, prow[-1]))
-        return _eliminate(row, prow, c, *rest)
+    def pivot(rows, basis, t, leave, enter, *rest):
+        per_pivot.append((enter, rows[leave][-1]))
+        return _pivot(rows, basis, t, leave, enter, *rest)
 
-    _eliminate = geometry._eliminate
-    monkeypatch.setattr(geometry, "_eliminate", eliminate)
+    _pivot = geometry._pivot
+    monkeypatch.setattr(geometry, "_pivot", pivot)
     x, X = (Q(1, 2), Q(0), Q(1)), [(Q(0), Q(0), Q(2)), (Q(3), Q(2), Q(0))]
     assert lp_solve(x, X) == (Q(5, 6), Q(1, 6))
-    per_pivot = pivots[::len(x) + 1]    # one pivot row per n + 1 rows
     assert [c for c, _ in per_pivot] == [1, 0, 3, 4]
     assert [sign_of(b) for _, b in per_pivot] == [0, 1, 1, 1]
 
@@ -215,6 +216,50 @@ def test_lp_embedded_rational_query_takes_the_same_path(sqrt2_field, query):
     x, X = query
     emb = lambda v: tuple(sqrt2_field.element([c]) for c in v)
     assert lp_solve(emb(x), [emb(v) for v in X]) == lp_solve(x, X)
+
+
+# -- lp_solve against the full-tableau routine it replaced -----------------------
+# Both make the same pivots, so lambda must be the identical tuple.
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(queries(rationals), hard_queries()))
+def test_lp_pivots_as_the_tableau_routine_rational(query):
+    x, X = query
+    assert lp_solve(x, X) == tableau_lp(x, X)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_lp_pivots_as_the_tableau_routine_sqrt2(sqrt2_field, data):
+    root = sqrt2_field.alpha()
+    el = lambda ab: ab[0] + ab[1] * root if ab[1] else ab[0]
+    b = st.sampled_from([0, 0, 0, 1, Q(1, 2)]).map(Q)
+    degenerate = st.builds(lambda a, b: a + b * root if b else a, sparse, b)
+    x, X = data.draw(st.one_of(
+        queries(sqrt2_entries()).map(lambda q: (
+            tuple(el(c) for c in q[0]), [tuple(el(c) for c in v) for v in q[1]])),
+        hard_queries(degenerate)))
+    assert lp_solve(x, X) == tableau_lp(x, X)
+
+
+def test_lp_replays_matchings3_verify_as_the_tableau_routine(fx, monkeypatch):
+    # every LP that verifying the bundled matchings3 certificate asks
+    queries_seen = []
+
+    def both(x, X):
+        lam = solve(x, X)
+        assert lam == tableau_lp(x, X)
+        queries_seen.append(lam)
+        return lam
+
+    solve = geometry.lp_solve
+    monkeypatch.setattr(geometry, "lp_solve", both)
+    f = fx.BY_NAME["matchings3"]
+    cert = fx.load_fixture_certificate(f)
+    assert isinstance(verify_certificate(fx.load_fixture_system(f), cert.alpha,
+                                         cert.vectors), Valid)
+    assert len(queries_seen) == 29
 
 
 # -- membership ------------------------------------------------------------------
