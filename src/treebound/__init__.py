@@ -19,7 +19,7 @@ from .numeric import (
     nthroot_field,
     sign_of,
 )
-from .geometry import hull_reduce, lp_solve, member_dominated_hull
+from .geometry import Hull, hull_reduce, lp_solve, member_dominated_hull
 from .system import BilinearSystem, apply, bk_levels, parse_system, scale_initial, trim
 from .automaton import TreeAutomaton, compile, count_accepted_subsets, evaluate, parse_automaton
 from .search import (

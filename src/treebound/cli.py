@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import fixtures as fixreg
@@ -274,7 +275,10 @@ def cmd_fixtures(args) -> int:
     return status
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and each parse fills a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="treebound",
         description="exact growth-rate bounds for counted vertex-subset "

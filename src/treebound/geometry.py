@@ -11,12 +11,13 @@ of a vector set to a minimal subset with the same dominated hull.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import lcm
-from operator import mul
+from operator import gt, le, mul
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
-from .numeric import AlgebraicNumber, Q, QONE, QZERO, invert, sign_of
+from .numeric import AlgebraicNumber, Q, QZERO, invert, sign_of
 
 Vec = Tuple  # coordinates: ints, Fractions or AlgebraicNumbers
 
@@ -56,10 +57,82 @@ def vec_is_nonnegative(u: Vec) -> bool:
     return all(sign_of(a) >= 0 for a in u)
 
 
+# -- a vector set prepared for membership queries ------------------------------
+
+def _rational(a):
+    """The exact rational value of a, or None when it is irrational."""
+    return a.rational_value() if isinstance(a, AlgebraicNumber) else a
+
+
+class Hull:
+    """A nonempty vector set X prepared once for many conv_<= queries.
+
+    For each coordinate j whose entries all have rational values it keeps
+    L_j, the lcm of their denominators, the int column X_ij * L_j and its
+    maximum; `scales[j]` is None for a column holding an irrational field
+    element.  The raw columns serve rows that hold a field element.  A query
+    scales only its own coordinates against these (`lp_solve`), and the
+    domination and escape tests of `member_dominated_hull` compare ints.
+    """
+
+    __slots__ = ("vectors", "dim", "scales", "raw", "cols", "tops", "rows")
+
+    def __init__(self, X: Sequence[Vec]):
+        if not X:
+            raise ValueError("X must be nonempty")
+        self.vectors = tuple(X)
+        self.dim = n = len(self.vectors[0])
+        for v in self.vectors:
+            if len(v) != n:
+                raise DimensionMismatch(f"{len(v)}-dim vector in a {n}-dim hull")
+        self.raw = list(zip(*self.vectors))
+        self.scales, self.cols = [], []
+        for col in self.raw:
+            vals = [_rational(a) for a in col]
+            if any(a is None for a in vals):
+                self.scales.append(None)
+                self.cols.append(None)
+            else:
+                scale = lcm(*(a.denominator for a in vals))
+                self.scales.append(scale)
+                self.cols.append([a.numerator * (scale // a.denominator)
+                                  for a in vals])
+        self._index()
+
+    def _index(self):
+        """Column maxima, and the int rows when every column is int."""
+        self.tops = [None if c is None else max(c) for c in self.cols]
+        self.rows = None if None in self.scales else list(zip(*self.cols))
+
+    def subset(self, keep: Sequence[int]) -> "Hull":
+        """The hull of the vectors numbered `keep`, sliced from this one.
+        The scales stay this set's: a common multiple of the subset's
+        denominators, which changes no membership answer."""
+        h = object.__new__(Hull)
+        h.vectors = tuple(self.vectors[k] for k in keep)
+        h.dim, h.scales = self.dim, self.scales
+        h.raw = [tuple(c[k] for k in keep) for c in self.raw]
+        h.cols = [None if c is None else [c[k] for k in keep]
+                  for c in self.cols]
+        h._index()
+        return h
+
+
+def _hull(x: Vec, X) -> Hull:
+    """X as a Hull (a plain sequence is prepared here), checked against x."""
+    hull = X if isinstance(X, Hull) else Hull(X)
+    if len(x) != hull.dim:
+        raise DimensionMismatch(
+            f"{len(x)}-dim query of a {hull.dim}-dim hull")
+    return hull
+
+
 # -- conv_<= membership LP ---------------------------------------------------
 
-def lp_solve(x: Vec, X: Sequence[Vec]) -> Optional[Vec]:
+def lp_solve(x: Vec, X) -> Optional[Vec]:
     """lambda >= 0 with sum lambda = 1 and sum lambda_i X_i >= x, or None.
+
+    X is a `Hull` or a plain sequence of vectors, prepared here.
 
     Phase 1 of the revised simplex (Dantzig & Orchard-Hays 1954) on A z = b,
     z = (lambda, a surplus per coordinate), from the artificial basis.  Only
@@ -67,43 +140,48 @@ def lp_solve(x: Vec, X: Sequence[Vec]) -> Optional[Vec]:
     pivot, and beta = M b.  The pivots are integer-preserving (Edmonds 1967,
     Bareiss 1968): each divides exactly by the previous d.  A row of A whose
     entries all have rational values is scaled to ints by its lcm
-    denominator; with every row so scaled, [M | beta] stays in ints with no
-    gcd work, and over Q(alpha) the update multiplies by one inverse of d
-    per pivot.
+    denominator, lcm(L_j, den x_j) from the hull's cached column; with every
+    row so scaled, [M | beta] stays in ints with no gcd work, and over
+    Q(alpha) the update multiplies by one inverse of d per pivot.
 
     Pricing: column j of A has the reduced cost -u.A_j (times d), u the sum
-    of the rows of M whose basic variable is still artificial.  On all-int
-    data the most negative one enters (Dantzig), lowest index on ties.
-    Bland's rule (the lowest index with a negative reduced cost) prices field
-    data, and any pivot after a degenerate one (pivot row rhs 0) until the
-    next nondegenerate one; a cycle is a run of degenerate pivots, and under
-    Bland's rule no such run repeats a basis, so phase 1 terminates.
+    of the rows of M whose basic variable is still artificial; a basic
+    column's is 0 and is not computed, and surplus column j, +-1 in row
+    j + 1, costs -+u_{j+1}.  On all-int data the most negative one enters
+    (Dantzig), lowest index on ties.  Bland's rule (the lowest index with a
+    negative reduced cost) prices field data, and any pivot after a
+    degenerate one (pivot row rhs 0) until the next nondegenerate one; a
+    cycle is a run of degenerate pivots, and under Bland's rule no such run
+    repeats a basis, so phase 1 terminates.
     """
-    m, n = len(X), len(x)
+    hull = _hull(x, X)
+    m, n = len(hull.vectors), len(x)
     width = m + n                   # lambda columns, then one surplus each
-    rows = [[1] * m + [0] * n + [1]]
+    data, rhs, sur = [], [1], []    # rows 1..n of A, b, surplus entries
     all_int = True                  # no field row: Dantzig pricing
-    for j in range(n):
-        data = [v[j] for v in X] + [x[j]]
-        vals = [a.rational_value() if isinstance(a, AlgebraicNumber) else a
-                for a in data]
-        if any(a is None for a in vals):
-            data, one, zero = [a if isinstance(a, AlgebraicNumber) else Q(a)
-                               for a in data], QONE, QZERO
+    for a, scale, col, raw in zip(x, hull.scales, hull.cols, hull.raw):
+        v = _rational(a)
+        if scale is None or v is None:
+            row = [c if isinstance(c, AlgebraicNumber) else Q(c) for c in raw]
+            b = a if isinstance(a, AlgebraicNumber) else Q(a)
             all_int = False
         else:
-            scale = lcm(*(a.denominator for a in vals))
-            data, one, zero = [a.numerator * (scale // a.denominator)
-                               for a in vals], 1, 0
-        if sign_of(data[-1]) < 0:  # rhs >= 0 for the artificial basis
-            data, one = [-a for a in data], -one
-        row = data[:-1] + [zero] * n + data[-1:]
-        row[m + j] = -one
-        rows.append(row)
-    cols = list(zip(*rows))[:width]  # A by columns
+            full = lcm(scale, v.denominator)
+            row = col if full == scale else list(map((full // scale).__mul__,
+                                                      col))
+            b = v.numerator * (full // v.denominator)
+        if sign_of(b) < 0:          # rhs >= 0 for the artificial basis
+            row, b = [-c for c in row], -b
+            sur.append(1)
+        else:
+            sur.append(-1)
+        data.append(row)
+        rhs.append(b)
+    cols = list(zip([1] * m, *data))    # the lambda columns of A
     # [M | beta], from the artificial basis: M = I, beta = b
-    inv_rhs = [[int(i == k) for k in range(n + 1)] + row[-1:]
-               for i, row in enumerate(rows)]
+    inv_rhs = [[0] * (n + 1) + [b] for b in rhs]
+    for i, row in enumerate(inv_rhs):
+        row[i] = 1
     basis = [width + i for i in range(n + 1)]   # artificials, never stored
     d = 1
     bland = not all_int
@@ -112,7 +190,10 @@ def lp_solve(x: Vec, X: Sequence[Vec]) -> Optional[Vec]:
         u = [sum(c) for c in zip(*art)] or [0]  # u[-1] = w, the infeasibility
         if sign_of(u[-1]) == 0:
             break
-        cost = (-sum(map(mul, u, a)) for a in cols)
+        basic = set(basis)
+        cost = chain((0 if i in basic else -sum(map(mul, u, a))
+                      for i, a in enumerate(cols)),
+                     (u[j] if s < 0 else -u[j] for j, s in enumerate(sur, 1)))
         if bland:
             enter = next((j for j, c in enumerate(cost) if sign_of(c) < 0), -1)
         else:
@@ -121,8 +202,12 @@ def lp_solve(x: Vec, X: Sequence[Vec]) -> Optional[Vec]:
             enter = cost.index(low) if low < 0 else -1
         if enter < 0:
             return None             # optimal with artificials left: infeasible
-        a = cols[enter]
-        t = [sum(map(mul, row, a)) for row in inv_rhs]  # M A_enter
+        if enter < m:
+            a = cols[enter]
+            t = [sum(map(mul, row, a)) for row in inv_rhs]  # M A_enter
+        else:
+            j = enter - m + 1       # +-(column j of M)
+            t = [row[j] if sur[j - 1] > 0 else -row[j] for row in inv_rhs]
         leave = -1
         for i, (ti, row) in enumerate(zip(t, inv_rhs)):
             if sign_of(ti) <= 0:
@@ -172,33 +257,40 @@ def _pivot(rows, basis, t, leave, enter, d, ints):
 
 # -- dominated convex hull -----------------------------------------------------
 
-def member_dominated_hull(x: Vec, X: Sequence[Vec]) -> bool:
+def member_dominated_hull(x: Vec, X) -> bool:
     """True iff exists lambda >= 0, sum lambda = 1, sum lambda_i X_i >= x.
 
-    X must be nonempty with nonnegative vectors; x must be nonnegative.
+    X is a nonempty `Hull` or sequence of nonnegative vectors; x must be
+    nonnegative.  Two exact tests settle most queries without an LP: some
+    X_i dominating x, and some x_j above every X_ij.
     """
-    if not X:
-        raise ValueError("X must be nonempty")
-    n = len(x)
-    for v in X:
-        if len(v) != n:
-            raise DimensionMismatch(f"{len(v)}-dim vector in {n}-dim hull query")
-    # single-vector domination settles most queries without an LP
-    for v in X:
-        if vec_leq(x, v):
-            return True
-    # so does a coordinate above every X_ij: no combination reaches it
-    for j, a in enumerate(x):
-        if not any(vec_leq((a,), (v[j],)) for v in X):
+    hull = _hull(x, X)
+    vals = [_rational(a) for a in x]
+    if hull.rows is not None and all(v is not None for v in vals):
+        # x_j <= X_ij iff ceil(x_j L_j) <= X_ij L_j, an int
+        need = [-(-v.numerator * scale // v.denominator)
+                for v, scale in zip(vals, hull.scales)]
+        if any(map(gt, need, hull.tops)):
             return False
-    return lp_solve(x, X) is not None
+        if any(all(map(le, need, row)) for row in hull.rows):
+            return True
+    else:
+        # a field entry: ask the signs, which refine the field, in the
+        # same order as ever
+        if any(vec_leq(x, v) for v in hull.vectors):
+            return True
+        for a, col in zip(x, hull.raw):
+            if not any(vec_leq((a,), (b,)) for b in col):
+                return False
+    return lp_solve(x, hull) is not None
 
 
 def hull_reduce(X: Sequence[Vec]) -> List[Vec]:
     """Minimal sublist X' (earliest occurrences kept) with conv_<=(X') = conv_<=(X).
 
     Candidates are processed in input order; each is dropped iff it lies in the
-    dominated hull of the other remaining vectors (one LP per point).
+    dominated hull of the other remaining vectors (one LP per point at most),
+    asked of a slice of one Hull of the deduplicated list.
     """
     if not X:
         raise ValueError("hull_reduce of an empty vector set")
@@ -208,11 +300,14 @@ def hull_reduce(X: Sequence[Vec]) -> List[Vec]:
         if v not in seen:
             seen.add(v)
             kept.append(v)
+    hull = Hull(kept)
+    alive = list(range(len(kept)))
     i = 0
-    while i < len(kept):
-        others = kept[:i] + kept[i + 1:]
-        if others and member_dominated_hull(kept[i], others):
-            del kept[i]
+    while i < len(alive):
+        others = alive[:i] + alive[i + 1:]
+        if others and member_dominated_hull(kept[alive[i]],
+                                            hull.subset(others)):
+            del alive[i]
         else:
             i += 1
-    return kept
+    return [kept[k] for k in alive]

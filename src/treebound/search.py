@@ -27,6 +27,7 @@ from .errors import (
     ParseError,
 )
 from .geometry import (
+    Hull,
     Vec,
     hull_reduce,
     member_dominated_hull,
@@ -110,7 +111,8 @@ def verify_certificate(s: BilinearSystem, alpha, vectors: Sequence[Vec]):
     if sign_of(alpha) <= 0:
         raise NonPositiveScale("alpha must be positive")
     x0 = vec_scale(s.v0, invert(alpha))
-    if not member_dominated_hull(x0, vectors):
+    hull = Hull(vectors)
+    if not member_dominated_hull(x0, hull):
         return Invalid(x0, "seed")
     shown = set()                      # products inside: the hull is fixed
     for x in vectors:
@@ -118,7 +120,7 @@ def verify_certificate(s: BilinearSystem, alpha, vectors: Sequence[Vec]):
             p = apply(s, x, y)
             if p in shown:
                 continue
-            if not member_dominated_hull(p, vectors):
+            if not member_dominated_hull(p, hull):
                 return Invalid(p, "product", (x, y))
             shown.add(p)
     return Valid(level_max(s, vectors))
@@ -169,17 +171,19 @@ def find_certificate(s: BilinearSystem, alpha, seeds: Sequence[Vec] = (),
     for v in seeds:
         if len(v) != s.dim:
             raise DimensionMismatch("seed vector of wrong dimension")
-    X: List[Vec] = hull_reduce([x0, *seeds])
     # conv_<= only grows, so what was shown inside stays inside: the pairs
-    # (by vector number, so a vector is hashed once an iteration) and the
-    # products themselves, which several pairs can share
+    # (by vector number, so a vector is hashed once an iteration), the
+    # products themselves, which several pairs can share, and the vectors
+    # each reduction drops
     number: Dict[Vec, int] = {}
     inside: set = set()
     shown: set = set()
+    X = _reduce([x0, *seeds], shown)
     provenance: Dict[Vec, Tuple[Vec, Vec]] = {}
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
         escapes: List[Tuple[Vec, Vec, Vec]] = []
+        hull = Hull(X)
         keyed = [(x, number.setdefault(x, len(number))) for x in X]
         for x, i in keyed:
             for y, j in keyed:
@@ -187,7 +191,7 @@ def find_certificate(s: BilinearSystem, alpha, seeds: Sequence[Vec] = (),
                     continue
                 p = apply(s, x, y)
                 if p not in shown:
-                    if not member_dominated_hull(p, X):
+                    if not member_dominated_hull(p, hull):
                         escapes.append((p, x, y))
                         continue
                     shown.add(p)
@@ -209,12 +213,19 @@ def find_certificate(s: BilinearSystem, alpha, seeds: Sequence[Vec] = (),
                 if limit is not None and limit not in seen:
                     seen.add(limit)
                     added.append(limit)
-        X = hull_reduce(X + added)
+        X = _reduce(X + added, shown)
         if len(X) > cfg.max_vectors:
             return BudgetExhausted(tuple(X), iterations, "max_vectors",
                                    growth_trace(s, alpha))
     return BudgetExhausted(tuple(X), cfg.max_iterations, "max_iterations",
                            growth_trace(s, alpha))
+
+
+def _reduce(X: List[Vec], shown: set) -> List[Vec]:
+    """hull_reduce(X), adding the vectors it drops to `shown`."""
+    kept = hull_reduce(X)
+    shown.update(set(X).difference(kept))
+    return kept
 
 
 def _chain_tail(provenance, p: Vec, x: Vec, y: Vec):

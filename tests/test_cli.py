@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from treebound import fixtures as fixreg
+from treebound import cli, fixtures as fixreg
 from treebound.cli import main, parse_alpha_spec
 from treebound.numeric import Q, sign_of
 from treebound.search import load_certificate, parse_certificate, verify_certificate, Valid
@@ -289,6 +289,24 @@ def test_fixtures_run_search_takes_names_either_side(capsys, argv):
     out = capsys.readouterr().out
     assert re.findall(r"^== (\w+):", out, re.MULTILINE) == ["indep_dom"]
     assert "search: converged" in out
+
+
+def test_main_keeps_no_parsed_state_between_calls(capsys):
+    # the parser is built once; names appended after --search and
+    # --sample's list must not reach the next call
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["fixtures", "run", "indep_dom", "--search"]) == 0
+    capsys.readouterr()
+    assert main(["fixtures", "run"]) == 0
+    out = capsys.readouterr().out
+    assert re.findall(r"^== (\w+):", out, re.MULTILINE) == [
+        f.name for f in fixreg.FIXTURES]
+    assert "search:" not in out
+    system = data("indep_dom.system")
+    assert main(["bound", system, "--alpha", "3/2", "--sample", "3"]) == 0
+    assert "n = 3: count <=" in capsys.readouterr().out
+    assert main(["bound", system, "--alpha", "3/2"]) == 0
+    assert "n = " not in capsys.readouterr().out
 
 
 def test_fixtures_unknown_name(capsys):

@@ -8,6 +8,7 @@ from tableau_reference import lp_solve as tableau_lp
 from treebound.errors import DimensionMismatch
 import treebound.geometry as geometry
 from treebound.geometry import (
+    Hull,
     hull_reduce,
     lp_solve,
     member_dominated_hull,
@@ -232,24 +233,27 @@ def test_lp_pivots_as_the_tableau_routine_rational(query):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_lp_pivots_as_the_tableau_routine_sqrt2(sqrt2_field, data):
-    root = sqrt2_field.alpha()
+    x, X = data.draw(sqrt2_query(sqrt2_field.alpha()))
+    assert lp_solve(x, X) == tableau_lp(x, X)
+
+
+def sqrt2_query(root):
     el = lambda ab: ab[0] + ab[1] * root if ab[1] else ab[0]
     b = st.sampled_from([0, 0, 0, 1, Q(1, 2)]).map(Q)
     degenerate = st.builds(lambda a, b: a + b * root if b else a, sparse, b)
-    x, X = data.draw(st.one_of(
+    return st.one_of(
         queries(sqrt2_entries()).map(lambda q: (
             tuple(el(c) for c in q[0]), [tuple(el(c) for c in v) for v in q[1]])),
-        hard_queries(degenerate)))
-    assert lp_solve(x, X) == tableau_lp(x, X)
+        hard_queries(degenerate))
 
 
 def test_lp_replays_matchings3_verify_as_the_tableau_routine(fx, monkeypatch):
     # every LP that verifying the bundled matchings3 certificate asks
     queries_seen = []
 
-    def both(x, X):
-        lam = solve(x, X)
-        assert lam == tableau_lp(x, X)
+    def both(x, hull):
+        lam = solve(x, hull)
+        assert lam == tableau_lp(x, list(hull.vectors))
         queries_seen.append(lam)
         return lam
 
@@ -260,6 +264,51 @@ def test_lp_replays_matchings3_verify_as_the_tableau_routine(fx, monkeypatch):
     assert isinstance(verify_certificate(fx.load_fixture_system(f), cert.alpha,
                                          cert.vectors), Valid)
     assert len(queries_seen) == 29
+
+
+# -- a prepared Hull against the references --------------------------------------
+# A full Hull builds the plain sequence's integers, so lambda is the tableau
+# routine's; a slice keeps the whole set's scales, so only answers compare.
+
+
+def check_hull(data, x, X):
+    hull = Hull(X)
+    lam = lp_solve(x, hull)
+    assert lam == tableau_lp(x, X)
+    assert (lam is not None) == reference_member(x, X)
+    keep = data.draw(st.lists(st.sampled_from(range(len(X))), min_size=1,
+                              unique=True).map(sorted))
+    part = [X[k] for k in keep]
+    sub = hull.subset(keep)
+    assert sub.vectors == tuple(part)
+    lam = lp_solve(x, sub)
+    assert (lam is not None) == reference_member(x, part)
+    if lam is not None:
+        assert_witness(lam, x, part)
+    if all(sign_of(a) >= 0 for a in x):
+        assert member_dominated_hull(x, hull) == reference_member(x, X)
+        assert member_dominated_hull(x, sub) == (lam is not None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_hull_membership_agrees_with_references_rational(data):
+    check_hull(data, *data.draw(st.one_of(queries(rationals), hard_queries())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hull_membership_agrees_with_references_sqrt2(sqrt2_field, data):
+    check_hull(data, *data.draw(sqrt2_query(sqrt2_field.alpha())))
+
+
+def test_hull_rejects_mixed_dimensions_and_empty_sets():
+    with pytest.raises(DimensionMismatch):
+        Hull([(Q(1), Q(0)), (Q(1),)])
+    with pytest.raises(DimensionMismatch):
+        lp_solve((Q(1),), Hull([(Q(1), Q(0))]))
+    with pytest.raises(ValueError):
+        Hull([])
 
 
 # -- membership ------------------------------------------------------------------
@@ -368,6 +417,48 @@ def test_hull_reduce_order_insensitive(xs):
     # same dominated hull either way (set equality of conv_<= via membership)
     assert all(member_dominated_hull(v, rev) for v in fwd)
     assert all(member_dominated_hull(v, fwd) for v in rev)
+
+
+def reduce_by_definition(X):
+    """Dedup, then drop each candidate inside the hull of the other
+    survivors, asked of the reference simplex one candidate at a time."""
+    kept = []
+    for v in X:
+        if v not in kept:
+            kept.append(v)
+    i = 0
+    while i < len(kept):
+        others = kept[:i] + kept[i + 1:]
+        if others and reference_member(kept[i], others):
+            del kept[i]
+        else:
+            i += 1
+    return kept
+
+
+@st.composite
+def reducible_sets(draw, entry):
+    # a small pool, drawn with repeats, plus halved copies that are dominated
+    n = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.tuples(*([entry] * n)), min_size=1, max_size=5))
+    pool += [tuple(Q(1, 2) * c for c in v) for v in pool[:2]]
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(reducible_sets(sparse))
+def test_hull_reduce_is_the_candidate_by_candidate_definition(X):
+    assert hull_reduce(X) == reduce_by_definition(X)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_hull_reduce_is_the_definition_with_field_entries(sqrt2_field, data):
+    root = sqrt2_field.alpha()
+    b = st.sampled_from([0, 0, 1, Q(1, 2)]).map(Q)
+    entry = st.builds(lambda a, b: a + b * root if b else a, sparse, b)
+    X = data.draw(reducible_sets(entry))
+    assert hull_reduce(X) == reduce_by_definition(X)
 
 
 def test_bundled_tpd_set_already_minimal(fx):

@@ -2,7 +2,9 @@
 
 import pytest
 
-from treebound.geometry import member_dominated_hull
+import treebound.geometry as geometry
+import treebound.search as search
+from treebound.geometry import hull_reduce, lp_solve, member_dominated_hull
 from treebound.numeric import Q, nthroot_field, sign_of
 from treebound.search import (
     BudgetExhausted,
@@ -95,6 +97,31 @@ def test_search_matchings5_at_13_10(fx):
     assert r.certificate.C == Q(40000, 28561)
     assert verify_certificate(s, Q(13, 10), r.certificate.vectors) == Valid(
         Q(40000, 28561))
+
+
+def test_search_asks_no_lp_of_a_vector_a_reduction_dropped(fx, monkeypatch):
+    # a dropped vector lies in conv_<=(X), and conv_<= only grows, so the
+    # search loop never asks an LP about it again
+    dropped, queries, reducing = set(), [], []
+
+    def reduce(X):
+        reducing.append(True)
+        kept = hull_reduce(X)
+        reducing.pop()
+        dropped.update(set(X).difference(kept))
+        return kept
+
+    def solve(x, X):
+        if not reducing:
+            assert x not in dropped
+            queries.append(x)
+        return lp_solve(x, X)
+
+    monkeypatch.setattr(search, "hull_reduce", reduce)
+    monkeypatch.setattr(geometry, "lp_solve", solve)
+    s = fx.load_fixture_system(fx.BY_NAME["matchings5"])
+    assert isinstance(find_certificate(s, Q(13, 10)), Found)
+    assert dropped and queries
 
 
 def test_search_determinism(indep_dom_system, sqrt2_field):
