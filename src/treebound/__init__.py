@@ -13,15 +13,14 @@ from .numeric import (
     Q,
     decimal_interval,
     decimal_str,
-    field_make,
     invert,
     largest_real_root,
     nthroot_field,
     sign_of,
 )
 from .geometry import Hull, hull_reduce, lp_solve, member_dominated_hull
-from .system import BilinearSystem, apply, bk_levels, parse_system, scale_initial, trim
-from .automaton import TreeAutomaton, compile, count_accepted_subsets, evaluate, parse_automaton
+from .system import BilinearSystem, apply, bk_levels, parse_system, trim
+from .automaton import TreeAutomaton, compile, fold_shape, parse_automaton
 from .search import (
     BudgetExhausted,
     Certificate,
@@ -32,7 +31,7 @@ from .search import (
     find_certificate,
     verify_certificate,
 )
-from .spectral import char_poly, eval_gadget, lower_bound, transfer_matrix
-from .oracle import bound_audit, max_count_via_levels, max_count_via_shapes
+from .spectral import char_poly, lower_bound, transfer_matrix
+from .oracle import bound_audit, max_count_via_levels, max_count_via_shapes_system
 
 __version__ = "0.1.0"

@@ -5,9 +5,9 @@ the leaf letter, and the subscript marks selected vertices.  Only leaves may
 be selected, so there are no J1 transitions; an automaton is a leaf rule for
 bot0 and/or bot1 plus a partial transition table for J0.
 
-Terms (trees with a selection) are nested structures: a leaf is the bool of
-its selection flag, an internal node a pair (left, right).  Shapes (trees
-without a selection) use None at the leaves.
+A shape is a B-expression, the one tree encoding of the package: None is a
+V0 leaf, "HOLE" the recursion hole of a gadget, and a pair (left, right) the
+product B(left, right).  `fold_shape` is its one fold.
 """
 
 from __future__ import annotations
@@ -17,15 +17,16 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import (
     DeterminismViolation,
+    MultipleHoles,
     NoLeafRule,
     ParseError,
     UndeclaredState,
 )
+from .geometry import Vec
 from .numeric import Directives
-from .system import BilinearSystem, apply, objective
+from .system import BilinearSystem, apply
 
-TreeTerm = Union[bool, tuple]   # leaf selection flag | (left, right)
-Shape = Union[None, tuple]      # leaf | (left, right)
+Shape = Union[None, str, tuple]   # V0 leaf | "HOLE" | (left, right)
 
 
 @dataclass(frozen=True)
@@ -35,22 +36,6 @@ class TreeAutomaton:
     leaf0: Optional[str]
     leaf1: Optional[str]
     trans: Dict[Tuple[str, str], str]  # (q1, q2) -> q, for the letter J0
-
-    def index(self, q: str) -> int:
-        return self.states.index(q)
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    kind: str  # 'accept', 'reject', 'stuck'
-    state: Optional[str] = None
-
-    @property
-    def accepted(self) -> bool:
-        return self.kind == "accept"
-
-
-STUCK = EvalResult("stuck")
 
 
 def parse_automaton(text: str) -> TreeAutomaton:
@@ -106,31 +91,6 @@ def parse_automaton(text: str) -> TreeAutomaton:
     return TreeAutomaton(states, frozenset(finals), leaf0, leaf1, trans)
 
 
-# -- evaluation ---------------------------------------------------------------
-
-
-def evaluate(a: TreeAutomaton, term: TreeTerm) -> EvalResult:
-    """Bottom-up run; Stuck (an undefined transition) is a value, not an error."""
-    q = _run(a, term)
-    if q is None:
-        return STUCK
-    return EvalResult("accept" if q in a.finals else "reject", q)
-
-
-def _run(a: TreeAutomaton, term: TreeTerm) -> Optional[str]:
-    if term is True:
-        return a.leaf1
-    if term is False:
-        return a.leaf0
-    left = _run(a, term[0])
-    if left is None:
-        return None
-    right = _run(a, term[1])
-    if right is None:
-        return None
-    return a.trans.get((left, right))
-
-
 # -- compilation to a bilinear system -------------------------------------------
 
 
@@ -151,51 +111,18 @@ def compile(a: TreeAutomaton) -> BilinearSystem:
     return BilinearSystem(n, terms, tuple(v0), f, coord_names=a.states)
 
 
-# -- shapes and counting ----------------------------------------------------------
+# -- folding B-expressions ---------------------------------------------------------
 
 
-def shape_leaves(shape: Shape) -> int:
-    if shape is None:
-        return 1
-    return shape_leaves(shape[0]) + shape_leaves(shape[1])
-
-
-def select_leaves(shape: Shape, flags, pos: int = 0) -> Tuple[TreeTerm, int]:
-    """Shape plus a per-leaf selection mask -> term."""
-    if shape is None:
-        return bool(flags[pos]), pos + 1
-    left, pos = select_leaves(shape[0], flags, pos)
-    right, pos = select_leaves(shape[1], flags, pos)
-    return (left, right), pos
-
-
-def count_accepted_subsets(a: TreeAutomaton, shape: Shape,
-                           exhaustive_cap: int = 12) -> int:
-    """Number of leaf selections accepted by the automaton on this shape.
-
-    Always computed as F.v for the apply-fold v of the compiled system (its
-    coordinate q counts the selections reaching q); for at most
-    exhaustive_cap leaves the 2^k exhaustive evaluation runs as an
-    independent cross-check and the two must agree.
-    """
-    s = compile(a)
-    fast = objective(s, fold_shape(s, shape))
-    k = shape_leaves(shape)
-    if k <= exhaustive_cap:
-        slow = 0
-        for mask in range(1 << k):
-            flags = [(mask >> i) & 1 for i in range(k)]
-            term, _ = select_leaves(shape, flags)
-            if evaluate(a, term).accepted:
-                slow += 1
-        if slow != fast:
-            raise AssertionError(
-                f"count mismatch on shape with {k} leaves: {slow} vs {fast}")
-    return fast
-
-
-def fold_shape(s: BilinearSystem, shape: Shape) -> Tuple:
-    """Apply-fold of a system over a shape (leaves become V0)."""
+def fold_shape(s: BilinearSystem, shape: Shape,
+               hole: Optional[Vec] = None) -> Vec:
+    """The vector of a B-expression: apply folded over the shape, with V0 at
+    its leaves and `hole` at its "HOLE"."""
     if shape is None:
         return s.v0
-    return apply(s, fold_shape(s, shape[0]), fold_shape(s, shape[1]))
+    if shape == "HOLE":
+        if hole is None:
+            raise MultipleHoles("expression has a hole but no value was given")
+        return hole
+    return apply(s, fold_shape(s, shape[0], hole),
+                 fold_shape(s, shape[1], hole))

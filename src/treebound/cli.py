@@ -16,9 +16,9 @@ from . import fixtures as fixreg
 from .errors import ParseError, TreeboundError
 from .numeric import (
     PARSE_FAULTS,
+    NumberField,
     Q,
     decimal_str,
-    field_make,
     format_number,
     nthroot_field,
     parse_rational,
@@ -28,7 +28,7 @@ from .numeric import (
     sign_of,
 )
 from .oracle import (
-    DEFAULT_SHAPE_CAP,
+    SHAPE_CAP,
     bound_audit,
     max_count_via_levels,
     max_count_via_shapes_system,
@@ -67,8 +67,8 @@ def parse_alpha_spec(spec: str):
 def _alpha_from_spec(spec: str):
     if spec.startswith("root(") and spec.endswith(")"):
         poly, lo, hi = spec[5:-1].rsplit(",", 2)
-        nf = field_make(poly_from_string(poly), parse_rational(lo),
-                        parse_rational(hi))
+        nf = NumberField(poly_from_string(poly), parse_rational(lo),
+                         parse_rational(hi))
     elif spec.startswith("nthroot(") and spec.endswith(")"):
         x, n = spec[8:-1].split(",")
         x, n = parse_rational(x), int(n)
@@ -82,7 +82,8 @@ def _alpha_from_spec(spec: str):
 
 def _load_trimmed(path):
     """The system at path restricted to its accessible and co-accessible
-    coordinates: what `bound` searches on, so what `verify` checks against."""
+    coordinates: what `bound` searches on, so what `verify` and `fixtures
+    run` check against."""
     return trim(load_system(path))[0]
 
 
@@ -247,13 +248,13 @@ def cmd_fixtures(args) -> int:
             print(f"unknown fixture {name!r}", file=sys.stderr)
             return 2
         print(f"== {f.name}: {f.description}")
-        system = fixreg.load_fixture_system(f)
+        system = _load_trimmed(fixreg.data_path(f.system))
         if f.certificate:
-            cert = fixreg.load_fixture_certificate(f)
+            cert = load_certificate(fixreg.data_path(f.certificate))
             rc = _verify_and_report(system, cert, claim=f.claim)
             status = max(status, rc)
         if f.gadget and f.gadget_size:
-            lb = lower_bound(system, fixreg.load_fixture_gadget(f),
+            lb = lower_bound(system, load_gadget(fixreg.data_path(f.gadget)),
                              f.gadget_size)
             print(f"lower bound ~ {lb.decimal()}")
         if f.direct_count:
@@ -358,8 +359,8 @@ def main(argv=None) -> int:
             args.system is None or args.gadget is None):
         ap.error("spectral needs either --count or a system and --gadget")
     if (args.command == "oracle" and not (args.levels or args.audit)
-            and args.k > DEFAULT_SHAPE_CAP):
-        ap.error(f"the shape route takes --k <= {DEFAULT_SHAPE_CAP}; "
+            and args.k > SHAPE_CAP):
+        ap.error(f"the shape route takes --k <= {SHAPE_CAP}; "
                  "use --levels for larger k")
     try:
         return args.func(args)

@@ -143,22 +143,3 @@ BY_NAME = {f.name: f for f in FIXTURES}
 
 def data_path(filename: str):
     return resources.files(__package__) / "data" / filename
-
-
-def read_data(filename: str) -> str:
-    return data_path(filename).read_text()
-
-
-def load_fixture_system(f: Fixture):
-    from ..system import parse_system
-    return parse_system(read_data(f.system))
-
-
-def load_fixture_certificate(f: Fixture):
-    from ..search import parse_certificate
-    return parse_certificate(read_data(f.certificate))
-
-
-def load_fixture_gadget(f: Fixture):
-    from ..spectral import parse_gadget
-    return parse_gadget(read_data(f.gadget))

@@ -234,7 +234,8 @@ def _pivot(rows, basis, t, leave, enter, d, ints):
     """Make column `enter` of A, t = M A_enter, basic in row `leave`: each
     other row r of [M | beta] becomes (p*r - t_i*prow) / d for p = t[leave],
     the new d.  The quotient is a minor of the data, so int rows divide
-    exactly; field rows take p/d and t_i/d, then two products an entry."""
+    exactly; field rows take p/d and t_i/d, then two products an entry.  A
+    row with t_i = 0 only rescales by p/d, and stays as it is when p = d."""
     prow, p = rows[leave], t[leave]
     if not ints:
         inv = invert(d)
@@ -243,11 +244,13 @@ def _pivot(rows, basis, t, leave, enter, d, ints):
         if i == leave:
             continue
         row = rows[i]
-        if ints:
-            rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
-        elif f == 0:
-            if p != d:
+        if f == 0:                     # the row only rescales by p/d
+            if p != d and ints:
+                rows[i] = [p * a // d for a in row]
+            elif p != d:
                 rows[i] = [s * a for a in row]
+        elif ints:
+            rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
         else:
             g = f * inv
             rows[i] = [s * a - g * b for a, b in zip(row, prow)]

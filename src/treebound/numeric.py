@@ -251,7 +251,10 @@ class NumberField:
 
     P is given with rational or int coefficients and stored as `int_poly(P)`:
     primitive, with positive leading coefficient; headers print it monic.
-    The interval only ever shrinks; concurrent sign queries therefore agree.
+    Alpha is the unique root of P in (lo, hi), where each new field's
+    isolating interval starts; equal fields built twice still mix (see
+    `_coerce`).  The interval only ever shrinks; concurrent sign queries
+    therefore agree.
     """
 
     def __init__(self, coeffs: Sequence, lo, hi, _checked: bool = False):
@@ -443,15 +446,6 @@ class NumberField:
 
     def alpha(self) -> "AlgebraicNumber":
         return self.element([0, 1])
-
-
-def field_make(p: Sequence, lo, hi) -> NumberField:
-    """Field whose alpha is the unique root of p in (lo, hi).
-
-    Each call builds a fresh field, whose isolating interval starts at
-    (lo, hi); equal fields from two calls still mix (see `_coerce`).
-    """
-    return NumberField(p, lo, hi)
 
 
 def nthroot_field(x, n: int) -> NumberField:
@@ -885,5 +879,5 @@ def parse_field_header(line: str) -> NumberField:
     word, lo, hi = interval.split()
     if word != "interval":
         raise ValueError(f"expected 'interval lo hi' after ';', got {word!r}")
-    return field_make([parse_rational(c) for c in coeffs.split(",")],
-                      parse_rational(lo), parse_rational(hi))
+    return NumberField([parse_rational(c) for c in coeffs.split(",")],
+                       parse_rational(lo), parse_rational(hi))

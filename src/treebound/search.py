@@ -244,22 +244,25 @@ def _chain_tail(provenance, p: Vec, x: Vec, y: Vec):
     return out
 
 
-def growth_trace(s: BilinearSystem, alpha, kmax: int = 10) -> Tuple:
+GROWTH_TRACE_K = 10                # levels the growth trace reports
+
+
+def growth_trace(s: BilinearSystem, alpha) -> Tuple:
     """(k, max F.v over B^k(V0/alpha)) for diagnosing alpha below the rate.
 
     Levels are expanded on the unscaled (rational) system and only the maxima
     are divided by alpha^k, which is the same by the scaling identity.
     """
     try:
-        levels = bk_levels(s, kmax, prune=True)
+        levels = bk_levels(s, GROWTH_TRACE_K)
     except LevelBudgetExceeded:
         return ()
     inv = invert(alpha)
     out = []
     scale = 1
-    for k in range(1, kmax + 1):
+    for k in range(1, GROWTH_TRACE_K + 1):
         scale = scale * inv
-        out.append((k, level_max(s, levels.levels[k]) * scale))
+        out.append((k, level_max(s, levels[k]) * scale))
     return tuple(out)
 
 
@@ -267,19 +270,19 @@ def growth_trace(s: BilinearSystem, alpha, kmax: int = 10) -> Tuple:
 
 
 def upper_bound_report(s: BilinearSystem, cert: Certificate,
-                       n_samples: Sequence[int] = (), digits: int = 6,
+                       n_samples: Sequence[int] = (),
                        citation: Optional[str] = None) -> str:
-    """Exact values first, decimal brackets second, citation last."""
+    """Exact values first, decimal brackets (6 digits) second, citation last."""
     lines = []
     lines.append(f"upper bound: count(n) <= C * alpha^n for all n")
     lines.append(f"  alpha = {format_number(cert.alpha)}"
-                 f"  ~ {decimal_str(cert.alpha, digits)}")
+                 f"  ~ {decimal_str(cert.alpha)}")
     C = level_max(s, cert.vectors)
-    lines.append(f"  C     = {format_number(C)}  ~ {decimal_str(C, digits)}")
+    lines.append(f"  C     = {format_number(C)}  ~ {decimal_str(C)}")
     lines.append(f"  certificate vectors: {len(cert.vectors)}")
     for n in n_samples:
         bound = C * cert.alpha ** n
-        lines.append(f"  n = {n}: count <= {decimal_str(bound, digits)}")
+        lines.append(f"  n = {n}: count <= {decimal_str(bound)}")
     if citation:
         lines.append(f"  [{citation}]")
     return "\n".join(lines)

@@ -1,18 +1,20 @@
 """Lower bounds from periodic constructions: gadgets, transfer matrices and
 characteristic polynomials.
 
-A gadget is an expression over B and V0 with one recursion hole; because the
-hole occurs once, plugging vectors into it is a linear map whose matrix M we
-extract column by column.  The growth rate of the periodic construction is
-the dominant eigenvalue of M, and consuming ``gadget_size`` tree vertices per
-iteration turns it into the bound (largest real root)^(1/gadget_size).
+A gadget is a B-expression (an `automaton.Shape`) with one recursion hole;
+because the hole occurs once, plugging vectors into it with `fold_shape` is a
+linear map whose matrix M we extract column by column.  The growth rate of
+the periodic construction is the dominant eigenvalue of M, and consuming
+``gadget_size`` tree vertices per iteration turns it into the bound
+(largest real root)^(1/gadget_size).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
+from .automaton import Shape, fold_shape
 from .errors import (
     MultipleHoles,
     NegativeEntry,
@@ -33,32 +35,17 @@ from .numeric import (
     read_text,
     sign_of,
 )
-from .system import BilinearSystem, apply
+from .system import BilinearSystem
 
-# Gadget expressions: 'V0' | 'HOLE' | ('B', g1, g2)
-Gadget = object
+BRACKET_WIDTH = Q(1, 10 ** 30)   # of the isolating interval of a lower bound
 
 
-def count_holes(g: Gadget) -> int:
+def count_holes(g: Shape) -> int:
     if g == "HOLE":
         return 1
-    if isinstance(g, tuple) and g and g[0] == "B":
-        return count_holes(g[1]) + count_holes(g[2])
+    if isinstance(g, tuple):
+        return count_holes(g[0]) + count_holes(g[1])
     return 0
-
-
-def eval_gadget(s: BilinearSystem, g: Gadget, hole_value=None):
-    """Fold apply over the expression; hole_value fills HOLE when present."""
-    if g == "V0":
-        return s.v0
-    if g == "HOLE":
-        if hole_value is None:
-            raise MultipleHoles("expression has a hole but no value was given")
-        return hole_value
-    if isinstance(g, tuple) and g and g[0] == "B":
-        return apply(s, eval_gadget(s, g[1], hole_value),
-                     eval_gadget(s, g[2], hole_value))
-    raise ValueError(f"bad gadget node {g!r}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +57,7 @@ class SquareMatrix:
         return len(self.entries)
 
 
-def transfer_matrix(s: BilinearSystem, g: Gadget) -> SquareMatrix:
+def transfer_matrix(s: BilinearSystem, g: Shape) -> SquareMatrix:
     """M with M e_i = gadget evaluated with the hole replaced by e_i."""
     holes = count_holes(g)
     if holes != 1:
@@ -78,7 +65,7 @@ def transfer_matrix(s: BilinearSystem, g: Gadget) -> SquareMatrix:
     cols = []
     for i in range(s.dim):
         e = tuple(QONE if j == i else QZERO for j in range(s.dim))
-        cols.append(eval_gadget(s, g, hole_value=e))
+        cols.append(fold_shape(s, g, e))
     return SquareMatrix(tuple(tuple(cols[j][i] for j in range(s.dim))
                               for i in range(s.dim)))
 
@@ -175,17 +162,14 @@ class LowerBound:
         return decimal_str(self.field.alpha(), digits)
 
 
-def lower_bound(s: BilinearSystem, g: Gadget, gadget_size: int,
-                precision=Q(1, 10 ** 30)) -> LowerBound:
+def lower_bound(s: BilinearSystem, g: Shape, gadget_size: int) -> LowerBound:
     """beta = (largest real root of char_poly(transfer_matrix))^(1/gadget_size)."""
     if gadget_size < 1:
         raise ValueError("gadget_size must be positive")
-    return lower_bound_from_matrix(transfer_matrix(s, g), gadget_size,
-                                   precision)
+    return lower_bound_from_matrix(transfer_matrix(s, g), gadget_size)
 
 
-def lower_bound_from_matrix(m: SquareMatrix, gadget_size: int,
-                            precision=Q(1, 10 ** 30)) -> LowerBound:
+def lower_bound_from_matrix(m: SquareMatrix, gadget_size: int) -> LowerBound:
     for row in m.entries:
         for e in row:
             if sign_of(e) < 0:
@@ -199,19 +183,20 @@ def lower_bound_from_matrix(m: SquareMatrix, gadget_size: int,
     if not q:
         raise NoRealRoot("characteristic polynomial is a power of x")
     lam, _ = largest_real_root(q, Q(1, 10 ** 9))
-    field = power_root_field(lam, gadget_size, precision)
+    field = power_root_field(lam, gadget_size, BRACKET_WIDTH)
     return LowerBound(field, field.original_interval, gadget_size, p, m,
                       primitive)
 
 
 # -- gadget file format ---------------------------------------------------------
 #   optional definitions ``name = expr``; the last plain line is the gadget.
-#   expr := V0 | HOLE | name | B(expr, expr)
+#   expr := V0 | HOLE | name | B(expr, expr), read into a Shape
 
 
-def parse_gadget(text: str) -> Gadget:
+def parse_gadget(text: str) -> Shape:
     defs: dict = {}
-    last: Optional[Gadget] = None
+    last: Shape = None
+    found = False                      # V0 parses to None, so track the line
     with Directives(text) as lines:
         for line in lines:
             if "=" in line:
@@ -221,13 +206,13 @@ def parse_gadget(text: str) -> Gadget:
                     raise ParseError(f"bad definition name {name!r}")
                 defs[name] = _parse_expr(expr.strip(), defs)
             else:
-                last = _parse_expr(line, defs)
-    if last is None:
+                last, found = _parse_expr(line, defs), True
+    if not found:
         raise ParseError("gadget file has no expression line")
     return last
 
 
-def _parse_expr(s: str, defs: dict) -> Gadget:
+def _parse_expr(s: str, defs: dict) -> Shape:
     expr, rest = _parse_prefix(s, defs)
     if rest.strip():
         raise ParseError(f"trailing input {rest!r}")
@@ -246,7 +231,7 @@ def _parse_prefix(s: str, defs: dict):
         rest = rest.lstrip()
         if not rest.startswith(")"):
             raise ParseError("expected ')' in B(.,.)")
-        return ("B", left, right), rest[1:]
+        return (left, right), rest[1:]
     for stop in range(len(s)):
         if s[stop] in ",()":
             name, rest = s[:stop], s[stop:]
@@ -254,12 +239,14 @@ def _parse_prefix(s: str, defs: dict):
     else:
         name, rest = s, ""
     name = name.strip()
-    if name == "V0" or name == "HOLE":
+    if name == "V0":
+        return None, rest
+    if name == "HOLE":
         return name, rest
     if name in defs:
         return defs[name], rest
     raise ParseError(f"unknown gadget symbol {name!r}")
 
 
-def load_gadget(path) -> Gadget:
+def load_gadget(path) -> Shape:
     return parse_gadget(read_text(path))

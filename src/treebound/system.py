@@ -1,4 +1,4 @@
-"""Bilinear systems (B, V0, F): application, scaling, trimming, level sets.
+"""Bilinear systems (B, V0, F): application, trimming, level sets.
 
 A system is a sparse nonnegative trilinear coefficient table together with an
 initial vector V0 and a final vector F.  B^k(V0) is the set of vectors
@@ -8,14 +8,13 @@ level equals the maximum accepted-subset count over trees of that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     DimensionMismatch,
     EmptySystem,
     LevelBudgetExceeded,
-    NonPositiveScale,
     ParseError,
 )
 from .numeric import (
@@ -81,15 +80,6 @@ def apply(s: BilinearSystem, u: Vec, v: Vec) -> Vec:
 
 def objective(s: BilinearSystem, v: Vec):
     return vec_dot(s.f, v)
-
-
-def scale_initial(s: BilinearSystem, alpha) -> BilinearSystem:
-    """Replace V0 by V0/alpha; every level-k vector scales by alpha**-k."""
-    if sign_of(alpha) <= 0:
-        raise NonPositiveScale("alpha must be positive")
-    inv = 1 / alpha
-    return BilinearSystem(s.dim, s.terms, tuple(inv * c for c in s.v0), s.f,
-                          s.coord_names, s.number_field)
 
 
 # -- trimming to accessible and co-accessible coordinates ----------------------
@@ -173,26 +163,19 @@ def _prune_dominated(vectors: List[Vec]) -> List[Vec]:
     return kept
 
 
-@dataclass
-class VectorSetByLevel:
-    """levels[k] = deduplicated (optionally dominance-pruned) B^k(V0)."""
-
-    levels: Dict[int, List[Vec]] = field(default_factory=dict)
-
-
 def bk_levels(s: BilinearSystem, kmax: int, prune: bool = True,
-              cap: int = DEFAULT_LEVEL_CAP) -> VectorSetByLevel:
-    """Levels 1..kmax of B^k(V0), built by the inductive pairing i + (k-i)."""
+              cap: int = DEFAULT_LEVEL_CAP) -> Dict[int, List[Vec]]:
+    """Levels 1..kmax of B^k(V0), built by the inductive pairing i + (k-i):
+    levels[k] is B^k(V0) deduplicated, and dominance-pruned with prune."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    out = VectorSetByLevel()
-    out.levels[1] = [s.v0]
+    levels = {1: [s.v0]}
     for k in range(2, kmax + 1):
         seen = set()
         level: List[Vec] = []
         for i in range(1, k):
-            for x in out.levels[i]:
-                for y in out.levels[k - i]:
+            for x in levels[i]:
+                for y in levels[k - i]:
                     v = apply(s, x, y)
                     if v not in seen:
                         seen.add(v)
@@ -200,8 +183,8 @@ def bk_levels(s: BilinearSystem, kmax: int, prune: bool = True,
                         if len(level) > cap:
                             raise LevelBudgetExceeded(
                                 f"level {k} exceeds cap {cap}")
-        out.levels[k] = _prune_dominated(level) if prune else level
-    return out
+        levels[k] = _prune_dominated(level) if prune else level
+    return levels
 
 
 def level_max(s: BilinearSystem, level: Sequence[Vec]):

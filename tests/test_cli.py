@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from treebound import cli, fixtures as fixreg
+import fixture_data as fixreg
+from treebound import cli, fixtures
 from treebound.cli import main, parse_alpha_spec
 from treebound.numeric import Q, sign_of
 from treebound.search import load_certificate, parse_certificate, verify_certificate, Valid
@@ -18,6 +19,15 @@ def data(name) -> str:
 
 DATA_DIR = data("")
 SQRT2 = b"field: -2,0,1 ; interval 1 2\n"
+
+
+def padded_indep_dom() -> str:
+    """indep_dom.system with a 4th coordinate that only feeds itself, which
+    trimming drops."""
+    return (fixreg.read_data("indep_dom.system")
+            .replace("dim 3", "dim 4").replace("states F D d\n", "")
+            .replace("V0 1 1 0", "V0 1 1 0 0")
+            .replace("F 0 1 1", "F 0 1 1 0") + "term 4 4 4\n")
 
 
 def test_parse_alpha_spec_grammar():
@@ -117,10 +127,7 @@ def test_bound_emit_then_verify_padded_system(tmp_path, capsys):
     # a 4th coordinate that only feeds itself is trimmed away by bound; verify
     # and the audit trim the same way, so the emitted file checks out
     padded = tmp_path / "padded.system"
-    padded.write_text(fixreg.read_data("indep_dom.system")
-                      .replace("dim 3", "dim 4").replace("states F D d\n", "")
-                      .replace("V0 1 1 0", "V0 1 1 0 0")
-                      .replace("F 0 1 1", "F 0 1 1 0") + "term 4 4 4\n")
+    padded.write_text(padded_indep_dom())
     cert = tmp_path / "c.cert"
     assert main(["bound", str(padded), "--alpha", "3/2",
                  "--emit-certificate", str(cert)]) == 0
@@ -280,6 +287,29 @@ def test_fixtures_run_verifies_and_bounds(capsys):
     assert out.count("certificate VALID") == 3
     assert "lower bound ~ 1.324718" in out
     assert "lower bound from 3 selections per 7 vertices ~ 1.169931" in out
+
+
+def test_fixtures_run_checks_what_verify_checks(tmp_path, monkeypatch,
+                                               capsys):
+    # a fixture loads its system trimmed, as verify does: the bundled
+    # certificate holds for indep_dom padded with a dead coordinate
+    (tmp_path / "padded.system").write_text(padded_indep_dom())
+    (tmp_path / "indep_dom.cert").write_text(fixreg.read_data("indep_dom.cert"))
+    (tmp_path / "path.gadget").write_text("B(V0,HOLE)\n")
+    padded = fixtures.Fixture(
+        name="padded", description="indep_dom with a dead coordinate",
+        system="padded.system", certificate="indep_dom.cert",
+        gadget="path.gadget", gadget_size=1)
+    monkeypatch.setattr(fixtures, "FIXTURES", (padded,))
+    monkeypatch.setattr(fixtures, "BY_NAME", {"padded": padded})
+    monkeypatch.setattr(fixtures, "data_path", lambda name: tmp_path / name)
+    assert main(["verify", str(tmp_path / "padded.system"),
+                 str(tmp_path / "indep_dom.cert")]) == 0
+    verified = capsys.readouterr().out
+    assert main(["fixtures", "run", "padded"]) == 0
+    out = capsys.readouterr().out
+    assert verified in out and "certificate VALID" in out
+    assert "lower bound ~ 1.324718" in out
 
 
 @pytest.mark.parametrize("argv", [["run", "indep_dom", "--search"],

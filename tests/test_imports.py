@@ -38,58 +38,84 @@ def test_no_unused_imports(path):
 
 # -- functions that only tests call -------------------------------------------
 
+FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-def defined_functions(source: str):
-    """(line, name) of every function and method defined in source, dunder
-    methods aside."""
-    return [(node.lineno, node.name) for node in ast.walk(ast.parse(source))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+
+def defined_functions(tree):
+    """Every function and method defined in the tree, dunder methods aside."""
+    return [node for node in ast.walk(tree) if isinstance(node, FUNCTION)
             and not (node.name.startswith("__") and node.name.endswith("__"))]
 
 
-def referenced_names(source: str):
-    """Names the source reads or looks up as attributes."""
-    names = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+def referenced_names(node, dead, enclosing=frozenset()):
+    """Names read or looked up as attributes under node, outside the dead
+    functions, and apart from a function's references to itself."""
+    if node in dead:
+        return
+    if isinstance(node, FUNCTION):
+        enclosing = enclosing | {node.name}
+    if isinstance(node, ast.Name) and node.id not in enclosing:
+        yield node.id
+    elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from referenced_names(child, dead, enclosing)
 
 
-def exported_names(source: str):
-    """Names the package `__init__.py` imports, i.e. its public API."""
-    return {alias.asname or alias.name for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.ImportFrom) for alias in node.names}
+def unreferenced_functions(sources: dict):
+    """{module: [(line, name)]} of functions that no live code references.
 
-
-def unreferenced_functions(sources: dict, init_source: str):
-    """{module: [(line, name)]} of functions that no module references and
-    the package does not export."""
-    used = exported_names(init_source).union(
-        *(referenced_names(src) for src in sources.values()))
-    out = {}
-    for module, src in sources.items():
-        dead = [(line, name) for line, name in defined_functions(src)
-                if name not in used]
-        if dead:
-            out[module] = dead
-    return out
+    A function is dead when no code outside dead functions names it; the
+    check repeats until no new dead function turns up, so code that only
+    dead functions call is dead too.  An import is no reference: neither a
+    package export nor a module importing what only its dead code uses
+    keeps a function alive.
+    """
+    trees = {module: ast.parse(src) for module, src in sources.items()}
+    functions = {module: defined_functions(tree)
+                 for module, tree in trees.items()}
+    dead = set()
+    while True:
+        used = set()
+        for tree in trees.values():
+            used.update(referenced_names(tree, dead))
+        new = {node for nodes in functions.values() for node in nodes
+               if node not in dead and node.name not in used}
+        if not new:
+            break
+        dead |= new
+    return {module: sorted((node.lineno, node.name) for node in nodes
+                           if node in dead)
+            for module, nodes in functions.items()
+            if any(node in dead for node in nodes)}
 
 
 def test_the_check_sees_an_unreferenced_function():
     sources = {"a": "def f():\n    return g()\n\ndef g():\n    pass\n\n"
                     "class C:\n    def m(self):\n        pass\n"
                     "    def __eq__(self, o):\n        return self.n\n"
-                    "    @property\n    def n(self):\n        return 1\n",
-               "b": "def h():\n    pass\n"}
-    assert unreferenced_functions(sources, "from .b import h\n") == {
-        "a": [(1, "f"), (8, "m")]}
+                    "    @property\n    def n(self):\n        return 1\n"
+                    "\nf()\n",
+               "b": "def h():\n    pass\n",
+               "__init__": "from .b import h\n"}
+    # an export is no use, and neither is a method's call of itself
+    assert unreferenced_functions(sources) == {"a": [(8, "m")],
+                                               "b": [(1, "h")]}
+    sources["a"] += ("\ndef r(n):\n    return r(n - 1) if n else g()\n"
+                     "\ndef d1():\n    return d2()\n"
+                     "\ndef d2():\n    return C().m()\n")
+    # recursion keeps r no more alive than a chain from a dead caller keeps
+    # d2 alive; g stays alive through the call at the end of the module
+    assert unreferenced_functions(sources) == {
+        "a": [(8, "m"), (18, "r"), (21, "d1"), (24, "d2")],
+        "b": [(1, "h")]}
+    del sources["a"]
+    sources["c"] = "def f():\n    return f()\n\ndef g():\n    return f()\n"
+    assert unreferenced_functions(sources) == {
+        "b": [(1, "h")], "c": [(1, "f"), (4, "g")]}
 
 
 def test_every_function_is_used_in_the_package():
     sources = {str(p.relative_to(PACKAGE)): p.read_text()
                for p in sorted(PACKAGE.rglob("*.py"))}
-    init = (PACKAGE / "__init__.py").read_text()
-    assert unreferenced_functions(sources, init) == {}
+    assert unreferenced_functions(sources) == {}

@@ -35,7 +35,6 @@ from treebound.numeric import (
     count_real_roots,
     decimal_interval,
     decimal_str,
-    field_make,
     format_number,
     int_poly,
     invert,
@@ -62,7 +61,7 @@ def elements(field, max_coeff=8):
     return st.lists(coeff, min_size=deg, max_size=deg).map(field.element)
 
 
-# -- field_make -------------------------------------------------------------
+# -- NumberField ------------------------------------------------------------
 
 
 def test_field_sqrt2(sqrt2_field):
@@ -96,7 +95,7 @@ def test_field_state_independent_of_earlier_parses(monkeypatch):
 
 
 def test_degree_one_field_is_rational():
-    f = field_make([-3, 1], 2, 4)  # x - 3
+    f = NumberField([-3, 1], 2, 4)  # x - 3
     a = f.alpha()
     assert a.rational_value() == 3
     assert sign_of(a - 3) == 0
@@ -105,19 +104,19 @@ def test_degree_one_field_is_rational():
 
 def test_field_make_rejects_no_sign_change():
     with pytest.raises(NoRootIsolated):
-        field_make([-2, 0, 1], 2, 3)  # sqrt(2) not in (2, 3)
+        NumberField([-2, 0, 1], 2, 3)  # sqrt(2) not in (2, 3)
 
 
 def test_field_make_rejects_two_roots():
     with pytest.raises(NoRootIsolated):
-        field_make([-2, 0, 1], -2, 2)  # both roots of x^2-2
+        NumberField([-2, 0, 1], -2, 2)  # both roots of x^2-2
 
 
 def test_field_make_rejects_repeated_root_in_interval():
     # (x-1)^2 (x-3): double root at 1 inside, sign change from the root at 3
     p = poly_mul(poly_mul((Q(-1), Q(1)), (Q(-1), Q(1))), (Q(-3), Q(1)))
     with pytest.raises(NotSquareFree):
-        field_make(p, Q(1, 2), 4)
+        NumberField(p, Q(1, 2), 4)
 
 
 @pytest.mark.parametrize("factors,lo,hi,error", [
@@ -144,7 +143,7 @@ def test_isolation_counts_roots_with_the_polynomials_own_chain(
 def test_reducible_polynomial_outside_interval_is_fine():
     # (x^2-2)(x-3) is square-free; isolating sqrt(2) works
     p = poly_mul((Q(-2), Q(0), Q(1)), (Q(-3), Q(1)))
-    f = field_make(p, 1, 2)
+    f = NumberField(p, 1, 2)
     a = f.alpha()
     assert sign_of(a * a - 2) == 0  # the value is sqrt(2)
     assert sign_of(a - Q(3, 2)) == -1
@@ -191,12 +190,12 @@ def test_field_mismatch(sqrt2_field, plastic_field):
 
 
 def test_same_root_different_interval_is_same_field():
-    a = field_make([-3, 0, 0, 0, 0, 0, 0, 1], 1, 2)
-    b = field_make([-3, 0, 0, 0, 0, 0, 0, 1], Q(1, 2), Q(3, 2))
+    a = NumberField([-3, 0, 0, 0, 0, 0, 0, 1], 1, 2)
+    b = NumberField([-3, 0, 0, 0, 0, 0, 0, 1], Q(1, 2), Q(3, 2))
     assert a == b
     assert sign_of(a.alpha() - b.alpha()) == 0  # mixed arithmetic allowed
-    c = field_make([-2, 0, 1], 1, 2)      # sqrt(2)
-    d = field_make([-2, 0, 1], -2, -1)    # -sqrt(2): same poly, other root
+    c = NumberField([-2, 0, 1], 1, 2)      # sqrt(2)
+    d = NumberField([-2, 0, 1], -2, -1)    # -sqrt(2): same poly, other root
     assert c != d
 
 
@@ -232,7 +231,7 @@ def coeff_lists(deg):
 @given(data=st.data())
 def test_arithmetic_agrees_with_dense_reference(name, data):
     p, (lo, hi) = REF_FIELDS[name]
-    f = field_make(p, lo, hi)
+    f = NumberField(p, lo, hi)
     P = poly(p)
     ca = poly(data.draw(coeff_lists(f.degree)))
     cb = poly(data.draw(coeff_lists(f.degree)))
@@ -419,7 +418,7 @@ def test_not_invertible_reports_the_monic_rational_factor(field, data):
 @given(data=st.data())
 def test_equal_values_have_equal_representatives(name, data):
     p, (lo, hi) = REF_FIELDS[name]
-    f = field_make(p, lo, hi)
+    f = NumberField(p, lo, hi)
     a, b, c = (f.element(data.draw(coeff_lists(f.degree))) for _ in range(3))
     lhs, rhs = (a + b) * c, a * c + b * c
     assert lhs == rhs and hash(lhs) == hash(rhs)
@@ -436,7 +435,7 @@ def test_rational_values_equal_and_hash_as_rationals(sqrt2_field):
     assert third == Q(1, 3) and hash(third) == hash(Q(1, 3))
     assert zero == 0 and hash(zero) == hash(0)
     assert {two, third, zero} == {2, Q(1, 3), 0}
-    half = field_make((Q(-1, 2), 0, 1), 0, 1).alpha() ** 2
+    half = NumberField((Q(-1, 2), 0, 1), 0, 1).alpha() ** 2
     assert half == Q(1, 2) and hash(half) == hash(Q(1, 2))
     assert format_number(half) == "1/2"
 

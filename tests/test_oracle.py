@@ -3,17 +3,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from automaton_reference import ShapeEnumerator, max_count_via_shapes
 from treebound.errors import AuditFailure, CapExceeded
 from treebound.numeric import Q, sign_of
 from treebound.oracle import (
-    ShapeEnumerator,
     bound_audit,
     max_count_via_levels,
-    max_count_via_shapes,
     max_count_via_shapes_system,
 )
 from treebound.search import Certificate
-from treebound.system import BilinearSystem, objective
+from treebound.system import BilinearSystem, bk_levels, level_max, objective
 
 
 def test_shape_enumerator_catalan():
@@ -98,8 +97,8 @@ def test_int_routes_match_fraction_routes(s, k):
 def test_prune_mode_agreement(fx):
     s = fx.load_fixture_system(fx.BY_NAME["matchings4"])
     for k in range(1, 9):
-        assert sign_of(max_count_via_levels(s, k, prune=True)
-                       - max_count_via_levels(s, k, prune=False)) == 0
+        assert sign_of(max_count_via_levels(s, k)
+                       - level_max(s, bk_levels(s, k, prune=False)[k])) == 0
 
 
 # -- audits -------------------------------------------------------------------------

@@ -168,7 +168,7 @@ def test_found_soundness_against_levels(indep_dom_system, sqrt2_field):
         power = power * cert.alpha
         bound = cert.C * power
         assert sign_of(bound - level_max(indep_dom_system,
-                                         levels.levels[k])) >= 0
+                                         levels[k])) >= 0
 
 
 def test_search_trimmed_precondition(fx, sqrt2_field, pad_dead_coordinate):

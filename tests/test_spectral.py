@@ -11,7 +11,8 @@ from exact_reference import (
     poly_eval,
     poly_mul,
 )
-from treebound.errors import MultipleHoles, NegativeEntry, NoRealRoot
+from treebound.automaton import fold_shape
+from treebound.errors import MultipleHoles, NegativeEntry, NoRealRoot, ParseError
 from treebound.numeric import (
     NumberField,
     Q,
@@ -24,7 +25,6 @@ from treebound.numeric import (
 from treebound.spectral import (
     SquareMatrix,
     char_poly,
-    eval_gadget,
     lower_bound,
     lower_bound_from_matrix,
     parse_gadget,
@@ -46,12 +46,13 @@ def mul_vec(m, v):
 def test_eval_gadget_inner_vector(fx):
     s = fx.load_fixture_system(fx.BY_NAME["max_induced_matchings"])
     g = parse_gadget("B(V0,B(V0,B(V0,B(B(V0,V0),V0))))")
-    assert eval_gadget(s, g) == tuple(Q(x) for x in (2, 1, 1, 3, 2))
+    assert fold_shape(s, g) == tuple(Q(x) for x in (2, 1, 1, 3, 2))
 
 
 def test_eval_gadget_leaf(fx):
     s = fx.load_fixture_system(fx.BY_NAME["perfect_codes"])
-    assert eval_gadget(s, parse_gadget("V0")) == s.v0
+    assert parse_gadget("V0") is None
+    assert fold_shape(s, parse_gadget("V0")) == s.v0
 
 
 def test_eval_gadget_p11_consistency(fx):
@@ -61,7 +62,7 @@ def test_eval_gadget_p11_consistency(fx):
     s = fx.load_fixture_system(fx.BY_NAME["matchings5"])
     p11 = parse_gadget(
         "B(B(V0,B(V0,B(V0,B(V0,B(V0,V0))))),B(V0,B(V0,B(V0,B(V0,V0)))))")
-    direct = eval_gadget(s, p11)
+    direct = fold_shape(s, p11)
     m = transfer_matrix(s, parse_gadget("B(V0,HOLE)"))
     v = s.v0
     for _ in range(10):
@@ -76,6 +77,16 @@ def test_hole_errors(fx):
         transfer_matrix(s, parse_gadget("B(HOLE,HOLE)"))
     with pytest.raises(MultipleHoles):
         transfer_matrix(s, parse_gadget("V0"))
+    with pytest.raises(MultipleHoles):  # a hole folded with no value
+        fold_shape(s, parse_gadget("B(V0,HOLE)"))
+
+
+def test_gadget_needs_an_expression_line():
+    # V0 parses to None, which must still count as the expression line
+    assert parse_gadget("x = B(V0,V0)\nV0\n") is None
+    assert parse_gadget("x = B(V0,HOLE)\nB(x,V0)\n") == ((None, "HOLE"), None)
+    with pytest.raises(ParseError):
+        parse_gadget("x = V0\n")
 
 
 # -- printed transfer matrices ----------------------------------------------------
@@ -261,11 +272,10 @@ def test_transfer_matrix_linearity(fx):
     g = fx.load_fixture_gadget(fx.BY_NAME["max_induced_matchings"])
     m = transfer_matrix(s, g)
     rng = random.Random(11)
-    from treebound.spectral import eval_gadget as ev
     for _ in range(4):
         u = tuple(Q(rng.randint(0, 9)) for _ in range(s.dim))
         v = tuple(Q(rng.randint(0, 9)) for _ in range(s.dim))
-        both = ev(s, g, hole_value=tuple(a + b for a, b in zip(u, v)))
+        both = fold_shape(s, g, tuple(a + b for a, b in zip(u, v)))
         split = tuple(a + b for a, b in zip(mul_vec(m, u), mul_vec(m, v)))
         assert both == split
 

