@@ -73,9 +73,13 @@ class Hull:
     element.  The raw columns serve rows that hold a field element.  A query
     scales only its own coordinates against these (`lp_solve`), and the
     domination and escape tests of `member_dominated_hull` compare ints.
+    `rows` holds the int rows of X and then those of the points admitted
+    (`admit`, which a successful LP calls), so the domination test also
+    settles any query that such a point dominates.
     """
 
-    __slots__ = ("vectors", "dim", "scales", "raw", "cols", "tops", "rows")
+    __slots__ = ("vectors", "dim", "scales", "raw", "cols", "tops", "rows",
+                 "admitted")
 
     def __init__(self, X: Sequence[Vec]):
         if not X:
@@ -103,11 +107,26 @@ class Hull:
         """Column maxima, and the int rows when every column is int."""
         self.tops = [None if c is None else max(c) for c in self.cols]
         self.rows = None if None in self.scales else list(zip(*self.cols))
+        self.admitted = []
+
+    def admit(self, p: Vec):
+        """Record p, already shown to lie in conv_<=(X), in `admitted`, so
+        that a later query p dominates needs no LP: if x <= p then x is
+        inside too.  Its row is floor(p_j L_j).  A hull holding a field
+        element admits nothing."""
+        if self.rows is None:
+            return
+        vals = [_rational(a) for a in p]
+        if None not in vals:
+            self.admitted.append(p)
+            self.rows.append(tuple(v.numerator * scale // v.denominator
+                                   for v, scale in zip(vals, self.scales)))
 
     def subset(self, keep: Sequence[int]) -> "Hull":
-        """The hull of the vectors numbered `keep`, sliced from this one.
-        The scales stay this set's: a common multiple of the subset's
-        denominators, which changes no membership answer."""
+        """The hull of the vectors numbered `keep`, sliced from this one,
+        with nothing admitted: a point inside conv_<=(X) need not be inside
+        the subset's.  The scales stay this set's: a common multiple of the
+        subset's denominators, which changes no membership answer."""
         h = object.__new__(Hull)
         h.vectors = tuple(self.vectors[k] for k in keep)
         h.dim, h.scales = self.dim, self.scales
@@ -265,17 +284,26 @@ def member_dominated_hull(x: Vec, X) -> bool:
 
     X is a nonempty `Hull` or sequence of nonnegative vectors; x must be
     nonnegative.  Two exact tests settle most queries without an LP: some
-    X_i dominating x, and some x_j above every X_ij.
+    X_i, or some point the hull has admitted, dominating x, and some x_j
+    above every X_ij.  A hull admits each x that its LP shows inside.
     """
     hull = _hull(x, X)
     vals = [_rational(a) for a in x]
     if hull.rows is not None and all(v is not None for v in vals):
-        # x_j <= X_ij iff ceil(x_j L_j) <= X_ij L_j, an int
+        # x_j <= X_ij iff ceil(x_j L_j) <= X_ij L_j, an int.  An admitted
+        # row, floor(p_j L_j), can fail that test when x_j <= p_j, but not
+        # floor(x_j L_j) <= it: a row that passes only the second is
+        # compared exactly
+        low = [v.numerator * scale // v.denominator
+               for v, scale in zip(vals, hull.scales)]
         need = [-(-v.numerator * scale // v.denominator)
                 for v, scale in zip(vals, hull.scales)]
         if any(map(gt, need, hull.tops)):
             return False
-        if any(all(map(le, need, row)) for row in hull.rows):
+        if any(all(map(le, low, row))
+               and (all(map(le, need, row)) or vec_leq(x, p))
+               for row, p in zip(hull.rows,
+                                 chain(hull.vectors, hull.admitted))):
             return True
     else:
         # a field entry: ask the signs, which refine the field, in the
@@ -285,7 +313,10 @@ def member_dominated_hull(x: Vec, X) -> bool:
         for a, col in zip(x, hull.raw):
             if not any(vec_leq((a,), (b,)) for b in col):
                 return False
-    return lp_solve(x, hull) is not None
+    if lp_solve(x, hull) is None:
+        return False
+    hull.admit(x)
+    return True
 
 
 def hull_reduce(X: Sequence[Vec]) -> List[Vec]:

@@ -118,11 +118,12 @@ def verify_certificate(s: BilinearSystem, alpha, vectors: Sequence[Vec]):
     for x in vectors:
         for y in vectors:
             p = apply(s, x, y)
-            if p in shown:
+            size = len(shown)
+            shown.add(p)               # one hash of p: new iff the set grew
+            if len(shown) == size:
                 continue
             if not member_dominated_hull(p, hull):
                 return Invalid(p, "product", (x, y))
-            shown.add(p)
     return Valid(level_max(s, vectors))
 
 
@@ -174,27 +175,35 @@ def find_certificate(s: BilinearSystem, alpha, seeds: Sequence[Vec] = (),
     # conv_<= only grows, so what was shown inside stays inside: the pairs
     # (by vector number, so a vector is hashed once an iteration), the
     # products themselves, which several pairs can share, and the vectors
-    # each reduction drops
+    # each reduction drops.  `carried` holds the points the last hull
+    # admitted (the products an LP showed inside) and the dropped vectors:
+    # the next hull admits them again, so a product they dominate needs no
+    # LP either.
     number: Dict[Vec, int] = {}
     inside: set = set()
     shown: set = set()
-    X = _reduce([x0, *seeds], shown)
+    carried: List[Vec] = []
+    X = _reduce([x0, *seeds], shown, carried)
     provenance: Dict[Vec, Tuple[Vec, Vec]] = {}
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
         escapes: List[Tuple[Vec, Vec, Vec]] = []
         hull = Hull(X)
+        for p in carried:
+            hull.admit(p)
         keyed = [(x, number.setdefault(x, len(number))) for x in X]
         for x, i in keyed:
             for y, j in keyed:
                 if (i, j) in inside:
                     continue
                 p = apply(s, x, y)
-                if p not in shown:
+                size = len(shown)
+                shown.add(p)           # one hash of p: new iff the set grew
+                if len(shown) > size:
                     if not member_dominated_hull(p, hull):
+                        shown.discard(p)
                         escapes.append((p, x, y))
                         continue
-                    shown.add(p)
                 inside.add((i, j))
         if not escapes:
             field = s.number_field if number_field is None else number_field
@@ -213,7 +222,8 @@ def find_certificate(s: BilinearSystem, alpha, seeds: Sequence[Vec] = (),
                 if limit is not None and limit not in seen:
                     seen.add(limit)
                     added.append(limit)
-        X = _reduce(X + added, shown)
+        carried = hull.admitted
+        X = _reduce(X + added, shown, carried)
         if len(X) > cfg.max_vectors:
             return BudgetExhausted(tuple(X), iterations, "max_vectors",
                                    growth_trace(s, alpha))
@@ -221,10 +231,13 @@ def find_certificate(s: BilinearSystem, alpha, seeds: Sequence[Vec] = (),
                            growth_trace(s, alpha))
 
 
-def _reduce(X: List[Vec], shown: set) -> List[Vec]:
-    """hull_reduce(X), adding the vectors it drops to `shown`."""
+def _reduce(X: List[Vec], shown: set, carried: List[Vec]) -> List[Vec]:
+    """hull_reduce(X), adding the vectors it drops to `shown` and
+    `carried`: they lie in conv_<=(X), which only grows."""
     kept = hull_reduce(X)
-    shown.update(set(X).difference(kept))
+    dropped = set(X).difference(kept)
+    shown.update(dropped)
+    carried.extend(dropped)
     return kept
 
 

@@ -9,6 +9,7 @@ level equals the maximum accepted-subset count over trees of that order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -144,29 +145,30 @@ def trim(s: BilinearSystem) -> Tuple[BilinearSystem, Tuple[int, ...]]:
 
 
 def _prune_dominated(vectors: List[Vec]) -> List[Vec]:
-    """Drop vectors componentwise-dominated by another vector of the list.
+    """The vectors no other vector of the list dominates componentwise, one
+    of each equal group, in order of coordinate sum, largest first.
 
     Sound for level maxima: B is monotone in each argument (nonnegative
     coefficients) and F >= 0, so a dominated vector can never beat its
-    dominator in any later product or in F.v.
+    dominator in any later product or in F.v.  A vector is dominated only
+    by one of larger sum or by an equal one, and both come before it in
+    this order, so one pass against the vectors kept so far suffices.
     """
+    sums = [sum(v) for v in vectors]
+    order = sorted(range(len(vectors)),
+                   key=cmp_to_key(lambda i, j: sign_of(sums[j] - sums[i])))
     kept: List[Vec] = []
-    for v in vectors:
-        dominated = False
-        for w in kept:
-            if vec_leq(v, w):
-                dominated = True
-                break
-        if not dominated:
-            kept = [w for w in kept if not vec_leq(w, v)]
+    for i in order:
+        v = vectors[i]
+        if not any(vec_leq(v, w) for w in kept):
             kept.append(v)
     return kept
 
 
-def bk_levels(s: BilinearSystem, kmax: int, prune: bool = True,
+def bk_levels(s: BilinearSystem, kmax: int,
               cap: int = DEFAULT_LEVEL_CAP) -> Dict[int, List[Vec]]:
     """Levels 1..kmax of B^k(V0), built by the inductive pairing i + (k-i):
-    levels[k] is B^k(V0) deduplicated, and dominance-pruned with prune."""
+    levels[k] is B^k(V0) deduplicated and dominance-pruned."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     levels = {1: [s.v0]}
@@ -183,7 +185,7 @@ def bk_levels(s: BilinearSystem, kmax: int, prune: bool = True,
                         if len(level) > cap:
                             raise LevelBudgetExceeded(
                                 f"level {k} exceeds cap {cap}")
-        levels[k] = _prune_dominated(level) if prune else level
+        levels[k] = _prune_dominated(level)
     return levels
 
 

@@ -14,6 +14,7 @@ import pytest
 import fixture_data as fixreg
 from automaton_reference import max_count_via_shapes, scale_initial
 from exact_reference import poly_divmod
+from level_reference import reference_levels
 from treebound.automaton import parse_automaton
 from treebound.errors import AuditFailure
 from treebound.geometry import hull_reduce, member_dominated_hull
@@ -295,8 +296,8 @@ def test_criterion_8_property_spotchecks(sqrt2_field, pad_dead_coordinate):
                   zip(apply(system, u, w), apply(system, v, w)))
     assert left == right
 
-    plain = bk_levels(system, 6, prune=False)
-    scaled = bk_levels(scale_initial(system, Q(3, 2)), 6, prune=False)
+    plain = reference_levels(system, 6)
+    scaled = reference_levels(scale_initial(system, Q(3, 2)), 6)
     inv = Q(2, 3)
     for k in range(1, 7):
         expect = {tuple(inv ** k * x for x in vec) for vec in plain[k]}

@@ -6,6 +6,8 @@ import re
 import pytest
 
 import fixture_data as fixreg
+import treebound.geometry as geometry
+import treebound.search as search
 from treebound import cli, fixtures
 from treebound.cli import main, parse_alpha_spec
 from treebound.numeric import Q, sign_of
@@ -108,6 +110,38 @@ def test_bound_finds_and_emits(tmp_path, capsys):
     assert isinstance(r, Valid)
     stated = parse_certificate(out.read_text()).C
     assert stated is not None and sign_of(r.C - stated) == 0
+
+
+def test_matchings5_bound_and_verify_ask_fewer_lps(tmp_path, monkeypatch,
+                                                  capsys):
+    # a product dominated by one an LP already showed inside the same hull
+    # is inside too; before hulls admitted such points these two commands
+    # asked 526 LPs (143 of them in hull_reduce) and 305
+    asked = {"reduce": 0, "other": 0}
+    reducing = []
+
+    def solve(x, X):
+        asked["reduce" if reducing else "other"] += 1
+        return lp_solve(x, X)
+
+    def reduce(X):
+        reducing.append(True)
+        try:
+            return hull_reduce(X)
+        finally:
+            reducing.pop()
+
+    lp_solve, hull_reduce = geometry.lp_solve, search.hull_reduce
+    monkeypatch.setattr(geometry, "lp_solve", solve)
+    monkeypatch.setattr(search, "hull_reduce", reduce)
+    out = tmp_path / "m5.cert"
+    assert main(["bound", data("matchings5.system"), "--alpha", "13/10",
+                 "--emit-certificate", str(out)]) == 0
+    assert asked == {"reduce": 143, "other": 167}
+    asked.update(reduce=0, other=0)
+    assert main(["verify", data("matchings5.system"), str(out)]) == 0
+    assert asked == {"reduce": 0, "other": 130}
+    capsys.readouterr()
 
 
 def test_bound_budget_exhaustion_diagnostics(tmp_path, capsys):

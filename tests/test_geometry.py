@@ -302,6 +302,73 @@ def test_hull_membership_agrees_with_references_sqrt2(sqrt2_field, data):
     check_hull(data, *data.draw(sqrt2_query(sqrt2_field.alpha())))
 
 
+# -- points a Hull admits ----------------------------------------------------------
+# A point shown inside conv_<=(X) settles every query it dominates; a slice of
+# the hull must not inherit it, since conv_<= of a subset is smaller.
+
+shrink = st.sampled_from([Q(0), Q(1, 3), Q(1, 2), Q(1), Q(1), Q(1)])
+nudge = st.sampled_from([Q(0), Q(0), Q(0), Q(1, 7), Q(1, 2)])
+
+
+@st.composite
+def admitted_queries(draw):
+    """X, points near its boundary (convex combinations of two vectors,
+    some nudged outward), and queries below those points or anywhere."""
+    _, X = draw(queries(rationals))
+    points = []
+    for _ in range(draw(st.integers(1, 5))):
+        u, v = draw(st.sampled_from(X)), draw(st.sampled_from(X))
+        t = draw(st.sampled_from([Q(0), Q(1, 3), Q(1, 2), Q(1)]))
+        points.append(tuple(t * a + (1 - t) * b + draw(nudge)
+                            for a, b in zip(u, v)))
+    xs = [tuple(a * draw(shrink) for a in draw(st.sampled_from(points)))
+          for _ in range(draw(st.integers(1, 6)))]
+    xs += draw(st.lists(st.tuples(*([rationals] * len(X[0]))), max_size=2))
+    return X, points, xs
+
+
+@settings(max_examples=150, deadline=None)
+@given(admitted_queries(), st.data())
+def test_admitted_points_change_no_answer(query, data):
+    X, points, xs = query
+    hull = Hull(X)
+    for p in points:
+        if reference_member(p, X):
+            hull.admit(p)
+    for x in xs:
+        assert member_dominated_hull(x, hull) == reference_member(x, X)
+    keep = data.draw(st.lists(st.sampled_from(range(len(X))), min_size=1,
+                              unique=True).map(sorted))
+    sub = hull.subset(keep)
+    assert sub.admitted == [] and len(sub.rows) == len(keep)
+    part = [X[k] for k in keep]
+    for x in xs:
+        assert member_dominated_hull(x, sub) == reference_member(x, part)
+
+
+def test_admitted_point_settles_what_it_dominates(sqrt2_field, monkeypatch):
+    # with L_j = 1 the row of (1/2, 1/2) is (0, 0): the query below it passes
+    # the int test only with floors and is compared exactly; a column entry
+    # 1/6 makes L_j = 6, and the ceilings pass
+    e1, e2 = (Q(1), Q(0)), (Q(0), Q(1))
+    hulls = [Hull([e1, e2]), Hull([e1, e2, (Q(1, 6), Q(1, 6))])]
+    for hull in hulls:
+        assert member_dominated_hull((Q(1, 2), Q(1, 2)), hull)  # by an LP
+        assert hull.admitted == [(Q(1, 2), Q(1, 2))]
+
+    def no_lp(x, X):
+        raise AssertionError("an LP was asked")
+
+    monkeypatch.setattr(geometry, "lp_solve", no_lp)
+    for hull in hulls:
+        assert member_dominated_hull((Q(1, 3), Q(1, 2)), hull)
+    # a hull holding a field element admits nothing
+    root = sqrt2_field.alpha()
+    field_hull = Hull([(root - 1, Q(0)), (Q(0), Q(1))])
+    field_hull.admit((Q(1, 4), Q(1, 4)))
+    assert field_hull.admitted == [] and field_hull.rows is None
+
+
 def test_hull_rejects_mixed_dimensions_and_empty_sets():
     with pytest.raises(DimensionMismatch):
         Hull([(Q(1), Q(0)), (Q(1),)])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from automaton_reference import ShapeEnumerator, max_count_via_shapes
+from level_reference import reference_levels
 from treebound.errors import AuditFailure, CapExceeded
 from treebound.numeric import Q, sign_of
 from treebound.oracle import (
@@ -12,7 +13,7 @@ from treebound.oracle import (
     max_count_via_shapes_system,
 )
 from treebound.search import Certificate
-from treebound.system import BilinearSystem, bk_levels, level_max, objective
+from treebound.system import BilinearSystem, level_max, objective
 
 
 def test_shape_enumerator_catalan():
@@ -98,7 +99,7 @@ def test_prune_mode_agreement(fx):
     s = fx.load_fixture_system(fx.BY_NAME["matchings4"])
     for k in range(1, 9):
         assert sign_of(max_count_via_levels(s, k)
-                       - level_max(s, bk_levels(s, k, prune=False)[k])) == 0
+                       - level_max(s, reference_levels(s, k)[k])) == 0
 
 
 # -- audits -------------------------------------------------------------------------

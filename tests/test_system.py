@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from automaton_reference import scale_initial
+from level_reference import prune_dominated_pairwise, reference_levels
 from treebound.errors import EmptySystem, LevelBudgetExceeded, ParseError
 from treebound.geometry import vec_dot
 from treebound.numeric import Q, sign_of
@@ -70,9 +71,8 @@ def test_scale_rejects_nonpositive(indep_dom_system):
 @given(st.integers(1, 9).map(Q), st.integers(1, 9).map(Q), st.integers(1, 6))
 def test_scaling_identity_levels(indep_dom_system, num, den, kmax):
     alpha = num / den
-    plain = bk_levels(indep_dom_system, kmax, prune=False)
-    scaled = bk_levels(scale_initial(indep_dom_system, alpha), kmax,
-                       prune=False)
+    plain = reference_levels(indep_dom_system, kmax)
+    scaled = reference_levels(scale_initial(indep_dom_system, alpha), kmax)
     inv = 1 / alpha
     for k in range(1, kmax + 1):
         factor = inv ** k
@@ -147,16 +147,31 @@ def test_level_maxima_small(indep_dom_system, k, expected):
 
 def test_prune_agrees_with_noprune(indep_dom_system, perfect_codes_system):
     for s in (indep_dom_system, perfect_codes_system):
-        pruned = bk_levels(s, 8, prune=True)
-        plain = bk_levels(s, 8, prune=False)
+        pruned = bk_levels(s, 8)
+        plain = reference_levels(s, 8)
         for k in range(1, 9):
             assert sign_of(level_max(s, pruned[k])
                            - level_max(s, plain[k])) == 0
 
 
+def test_sorted_prune_keeps_the_pairwise_prunes_levels(fx, sqrt2_field):
+    # one pass in order of coordinate sum, largest first, finds the levels
+    # the pairwise prune finds, on every fixture and over Q(sqrt 2)
+    systems = [(fx.load_fixture_system(f), 12) for f in fx.BY_NAME.values()]
+    root = sqrt2_field.alpha()
+    systems += [(scale_initial(fx.load_fixture_system(fx.BY_NAME[n]), root),
+                 9) for n in ("indep_dom", "matchings4")]
+    for s, kmax in systems:
+        pruned = bk_levels(s, kmax)
+        want = reference_levels(s, kmax, prune_dominated_pairwise)
+        for k in range(1, kmax + 1):
+            assert len(pruned[k]) == len(want[k])
+            assert set(pruned[k]) == set(want[k])
+
+
 def test_level_cap(indep_dom_system):
     with pytest.raises(LevelBudgetExceeded):
-        bk_levels(indep_dom_system, 9, prune=False, cap=3)
+        bk_levels(indep_dom_system, 9, cap=3)
 
 
 # -- file format -------------------------------------------------------------------
