@@ -136,7 +136,8 @@ def cmd_bound(args) -> int:
     if isinstance(result, Found):
         cert = result.certificate
         print(f"found a certificate in {result.iterations} iterations")
-        print(upper_bound_report(system, cert, n_samples=args.sample or ()))
+        print(upper_bound_report(cert.alpha, cert.C, len(cert.vectors),
+                                 n_samples=args.sample or ()))
         if args.emit_certificate:
             _write_out(format_certificate(cert), args.emit_certificate)
             print(f"certificate written to {args.emit_certificate}")
@@ -162,12 +163,12 @@ def _verify_and_report(system, cert, alpha=None, claim=None) -> int:
     alpha = cert.alpha if alpha is None else alpha
     outcome = verify_certificate(system, alpha, cert.vectors)
     if isinstance(outcome, Valid):
-        shown = Certificate(cert.field, alpha, cert.vectors)
         print("certificate VALID")
         if cert.C is not None and sign_of(cert.C - outcome.C) != 0:
             print("  note: stated C differs from the derived C; "
                   "using the derived value")
-        print(upper_bound_report(system, shown, citation=claim))
+        print(upper_bound_report(alpha, outcome.C, len(cert.vectors),
+                                 citation=claim))
         return 0
     print("certificate INVALID")
     kind = "seed vector V0/alpha" if outcome.kind == "seed" else "product"

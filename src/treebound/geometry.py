@@ -17,7 +17,7 @@ from operator import gt, le, mul
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
-from .numeric import AlgebraicNumber, Q, QZERO, invert, sign_of
+from .numeric import AlgebraicNumber, QZERO, invert, sign_of
 
 Vec = Tuple  # coordinates: ints, Fractions or AlgebraicNumbers
 
@@ -42,15 +42,8 @@ def vec_dot(u: Vec, v: Vec):
 
 
 def vec_leq(u: Vec, v: Vec) -> bool:
-    """Componentwise u <= v.  Rationals compare directly; only a field
-    element needs the exact sign of the difference."""
-    for a, b in zip(u, v):
-        if isinstance(a, AlgebraicNumber) or isinstance(b, AlgebraicNumber):
-            if sign_of(b - a) < 0:
-                return False
-        elif a > b:
-            return False
-    return True
+    """Componentwise u <= v (a field element compares by exact sign)."""
+    return all(map(le, u, v))
 
 
 def vec_is_nonnegative(u: Vec) -> bool:
@@ -73,13 +66,14 @@ class Hull:
     element.  The raw columns serve rows that hold a field element.  A query
     scales only its own coordinates against these (`lp_solve`), and the
     domination and escape tests of `member_dominated_hull` compare ints.
-    `rows` holds the int rows of X and then those of the points admitted
-    (`admit`, which a successful LP calls), so the domination test also
-    settles any query that such a point dominates.
+    The hull remembers the points shown inside it (`admit`): `rows` pairs
+    the int rows of X, and then of each admitted rational point, with their
+    points, so the domination test also settles any query that such a
+    point dominates; any other admitted point is an exact key in `shown`.
     """
 
     __slots__ = ("vectors", "dim", "scales", "raw", "cols", "tops", "rows",
-                 "admitted")
+                 "admitted", "shown")
 
     def __init__(self, X: Sequence[Vec]):
         if not X:
@@ -106,21 +100,26 @@ class Hull:
     def _index(self):
         """Column maxima, and the int rows when every column is int."""
         self.tops = [None if c is None else max(c) for c in self.cols]
-        self.rows = None if None in self.scales else list(zip(*self.cols))
+        self.rows = (None if None in self.scales
+                     else list(zip(zip(*self.cols), self.vectors)))
         self.admitted = []
+        self.shown = set()
 
     def admit(self, p: Vec):
         """Record p, already shown to lie in conv_<=(X), in `admitted`, so
-        that a later query p dominates needs no LP: if x <= p then x is
-        inside too.  Its row is floor(p_j L_j).  A hull holding a field
-        element admits nothing."""
-        if self.rows is None:
-            return
-        vals = [_rational(a) for a in p]
-        if None not in vals:
-            self.admitted.append(p)
-            self.rows.append(tuple(v.numerator * scale // v.denominator
-                                   for v, scale in zip(vals, self.scales)))
+        that a later query needs no LP.  On a hull of rationals, p's row
+        floor(p_j L_j) settles every x <= p, which is inside too; there a
+        row scan is cheap and hashing Fractions is not.  Otherwise p becomes
+        an exact key, which settles p itself without the signs a domination
+        test asks."""
+        self.admitted.append(p)
+        vals = None if self.rows is None else [_rational(a) for a in p]
+        if vals is None or None in vals:
+            self.shown.add(p)
+        else:
+            self.rows.append((tuple(v.numerator * scale // v.denominator
+                                    for v, scale in zip(vals, self.scales)),
+                              p))
 
     def subset(self, keep: Sequence[int]) -> "Hull":
         """The hull of the vectors numbered `keep`, sliced from this one,
@@ -181,8 +180,7 @@ def lp_solve(x: Vec, X) -> Optional[Vec]:
     for a, scale, col, raw in zip(x, hull.scales, hull.cols, hull.raw):
         v = _rational(a)
         if scale is None or v is None:
-            row = [c if isinstance(c, AlgebraicNumber) else Q(c) for c in raw]
-            b = a if isinstance(a, AlgebraicNumber) else Q(a)
+            row, b = raw, a
             all_int = False
         else:
             full = lcm(scale, v.denominator)
@@ -285,7 +283,8 @@ def member_dominated_hull(x: Vec, X) -> bool:
     X is a nonempty `Hull` or sequence of nonnegative vectors; x must be
     nonnegative.  Two exact tests settle most queries without an LP: some
     X_i, or some point the hull has admitted, dominating x, and some x_j
-    above every X_ij.  A hull admits each x that its LP shows inside.
+    above every X_ij.  A hull admits each x that its LP shows inside, and
+    on field data each x that it answers True.
     """
     hull = _hull(x, X)
     vals = [_rational(a) for a in x]
@@ -302,17 +301,18 @@ def member_dominated_hull(x: Vec, X) -> bool:
             return False
         if any(all(map(le, low, row))
                and (all(map(le, need, row)) or vec_leq(x, p))
-               for row, p in zip(hull.rows,
-                                 chain(hull.vectors, hull.admitted))):
+               for row, p in hull.rows):
             return True
     else:
-        # a field entry: ask the signs, which refine the field, in the
-        # same order as ever
-        if any(vec_leq(x, v) for v in hull.vectors):
+        # a field entry: a point shown inside before, else ask the signs,
+        # which refine the field, in the same order as ever
+        if x in hull.shown:
             return True
-        for a, col in zip(x, hull.raw):
-            if not any(vec_leq((a,), (b,)) for b in col):
-                return False
+        if any(vec_leq(x, v) for v in hull.vectors):
+            hull.admit(x)
+            return True
+        if not all(any(a <= b for b in col) for a, col in zip(x, hull.raw)):
+            return False
     if lp_solve(x, hull) is None:
         return False
     hull.admit(x)
@@ -328,12 +328,7 @@ def hull_reduce(X: Sequence[Vec]) -> List[Vec]:
     """
     if not X:
         raise ValueError("hull_reduce of an empty vector set")
-    kept: List[Vec] = []
-    seen = set()
-    for v in X:  # exact-representative dedup, earliest kept
-        if v not in seen:
-            seen.add(v)
-            kept.append(v)
+    kept = list(dict.fromkeys(X))  # exact-representative dedup, earliest kept
     hull = Hull(kept)
     alive = list(range(len(kept)))
     i = 0

@@ -745,6 +745,13 @@ class AlgebraicNumber:
                     and self._den == other.denominator)
         return NotImplemented
 
+    # order by the exact sign of the difference; nothing needs < or >
+    def __le__(self, other):
+        return sign_of(other - self) >= 0
+
+    def __ge__(self, other):
+        return sign_of(self - other) >= 0
+
     def __hash__(self):
         if self._hash is None:
             if len(self._num) <= 1 and (not self._num or self._num[0][0] == 0):

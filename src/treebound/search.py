@@ -114,14 +114,9 @@ def verify_certificate(s: BilinearSystem, alpha, vectors: Sequence[Vec]):
     hull = Hull(vectors)
     if not member_dominated_hull(x0, hull):
         return Invalid(x0, "seed")
-    shown = set()                      # products inside: the hull is fixed
     for x in vectors:
         for y in vectors:
             p = apply(s, x, y)
-            size = len(shown)
-            shown.add(p)               # one hash of p: new iff the set grew
-            if len(shown) == size:
-                continue
             if not member_dominated_hull(p, hull):
                 return Invalid(p, "product", (x, y))
     return Valid(level_max(s, vectors))
@@ -172,18 +167,15 @@ def find_certificate(s: BilinearSystem, alpha, seeds: Sequence[Vec] = (),
     for v in seeds:
         if len(v) != s.dim:
             raise DimensionMismatch("seed vector of wrong dimension")
-    # conv_<= only grows, so what was shown inside stays inside: the pairs
-    # (by vector number, so a vector is hashed once an iteration), the
-    # products themselves, which several pairs can share, and the vectors
-    # each reduction drops.  `carried` holds the points the last hull
-    # admitted (the products an LP showed inside) and the dropped vectors:
-    # the next hull admits them again, so a product they dominate needs no
-    # LP either.
-    number: Dict[Vec, int] = {}
-    inside: set = set()
-    shown: set = set()
+    # Every product of two vectors of the last X lies inside the next hull:
+    # it was inside, or it escaped and was added, and conv_<= only grows.
+    # So a pair is checked only when one of its vectors is new to X.
+    # `carried` holds the points the last hull admitted and the vectors each
+    # reduction drops: the next hull admits them again, so a product they
+    # dominate needs no LP.
     carried: List[Vec] = []
-    X = _reduce([x0, *seeds], shown, carried)
+    X = _reduce([x0, *seeds], carried)
+    prior: set = set()
     provenance: Dict[Vec, Tuple[Vec, Vec]] = {}
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
@@ -191,27 +183,21 @@ def find_certificate(s: BilinearSystem, alpha, seeds: Sequence[Vec] = (),
         hull = Hull(X)
         for p in carried:
             hull.admit(p)
-        keyed = [(x, number.setdefault(x, len(number))) for x in X]
-        for x, i in keyed:
-            for y, j in keyed:
-                if (i, j) in inside:
-                    continue
-                p = apply(s, x, y)
-                size = len(shown)
-                shown.add(p)           # one hash of p: new iff the set grew
-                if len(shown) > size:
+        fresh = [x not in prior for x in X]
+        for x, new_x in zip(X, fresh):
+            for y, new_y in zip(X, fresh):
+                if new_x or new_y:
+                    p = apply(s, x, y)
                     if not member_dominated_hull(p, hull):
-                        shown.discard(p)
                         escapes.append((p, x, y))
-                        continue
-                inside.add((i, j))
         if not escapes:
             field = s.number_field if number_field is None else number_field
             cert = Certificate(field, alpha, tuple(X), tuple(seeds),
                                level_max(s, X), s.coord_names)
             return Found(cert, iterations)
         added: List[Vec] = []
-        seen = set(X)
+        prior = set(X)
+        seen = set(prior)
         for p, x, y in escapes:
             if p not in seen:
                 seen.add(p)
@@ -223,7 +209,7 @@ def find_certificate(s: BilinearSystem, alpha, seeds: Sequence[Vec] = (),
                     seen.add(limit)
                     added.append(limit)
         carried = hull.admitted
-        X = _reduce(X + added, shown, carried)
+        X = _reduce(X + added, carried)
         if len(X) > cfg.max_vectors:
             return BudgetExhausted(tuple(X), iterations, "max_vectors",
                                    growth_trace(s, alpha))
@@ -231,13 +217,11 @@ def find_certificate(s: BilinearSystem, alpha, seeds: Sequence[Vec] = (),
                            growth_trace(s, alpha))
 
 
-def _reduce(X: List[Vec], shown: set, carried: List[Vec]) -> List[Vec]:
-    """hull_reduce(X), adding the vectors it drops to `shown` and
-    `carried`: they lie in conv_<=(X), which only grows."""
+def _reduce(X: List[Vec], carried: List[Vec]) -> List[Vec]:
+    """hull_reduce(X), adding the vectors it drops to `carried`: they lie
+    in conv_<=(X), which only grows."""
     kept = hull_reduce(X)
-    dropped = set(X).difference(kept)
-    shown.update(dropped)
-    carried.extend(dropped)
+    carried.extend(set(X).difference(kept))
     return kept
 
 
@@ -282,19 +266,19 @@ def growth_trace(s: BilinearSystem, alpha) -> Tuple:
 # -- reporting ------------------------------------------------------------------
 
 
-def upper_bound_report(s: BilinearSystem, cert: Certificate,
+def upper_bound_report(alpha, C, vectors: int,
                        n_samples: Sequence[int] = (),
                        citation: Optional[str] = None) -> str:
-    """Exact values first, decimal brackets (6 digits) second, citation last."""
+    """The bound C * alpha^n of a certificate of `vectors` vectors, C as
+    the search or the verifier derived it.  Exact values first, decimal
+    brackets (6 digits) second, citation last."""
     lines = []
     lines.append(f"upper bound: count(n) <= C * alpha^n for all n")
-    lines.append(f"  alpha = {format_number(cert.alpha)}"
-                 f"  ~ {decimal_str(cert.alpha)}")
-    C = level_max(s, cert.vectors)
+    lines.append(f"  alpha = {format_number(alpha)}  ~ {decimal_str(alpha)}")
     lines.append(f"  C     = {format_number(C)}  ~ {decimal_str(C)}")
-    lines.append(f"  certificate vectors: {len(cert.vectors)}")
+    lines.append(f"  certificate vectors: {vectors}")
     for n in n_samples:
-        bound = C * cert.alpha ** n
+        bound = C * alpha ** n
         lines.append(f"  n = {n}: count <= {decimal_str(bound)}")
     if citation:
         lines.append(f"  [{citation}]")

@@ -131,16 +131,14 @@ def _drop_dead_indices(m: SquareMatrix) -> SquareMatrix:
     strips x factors from the characteristic polynomial, so the largest
     positive real root is unchanged.
     """
-    keep = list(range(m.n))
     entries = [list(r) for r in m.entries]
     changed = True
-    while changed and keep:
+    while changed and entries:
         changed = False
-        for pos in range(len(keep) - 1, -1, -1):
-            row_zero = all(sign_of(entries[pos][j]) == 0 for j in range(len(keep)))
-            col_zero = all(sign_of(entries[i][pos]) == 0 for i in range(len(keep)))
+        for pos in range(len(entries) - 1, -1, -1):
+            row_zero = all(sign_of(a) == 0 for a in entries[pos])
+            col_zero = all(sign_of(r[pos]) == 0 for r in entries)
             if row_zero or col_zero:
-                del keep[pos]
                 entries = [r[:pos] + r[pos + 1:]
                            for k, r in enumerate(entries) if k != pos]
                 changed = True

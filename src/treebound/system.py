@@ -32,7 +32,7 @@ from .geometry import Vec, vec_dot, vec_leq
 # internal indices are 0-based; the file format and reports are 1-based
 Term = Tuple[int, int, int, object]  # (target, left, right, coeff)
 
-DEFAULT_LEVEL_CAP = 100_000
+LEVEL_CAP = 100_000                # largest level bk_levels will build
 
 
 @dataclass(frozen=True)
@@ -165,8 +165,7 @@ def _prune_dominated(vectors: List[Vec]) -> List[Vec]:
     return kept
 
 
-def bk_levels(s: BilinearSystem, kmax: int,
-              cap: int = DEFAULT_LEVEL_CAP) -> Dict[int, List[Vec]]:
+def bk_levels(s: BilinearSystem, kmax: int) -> Dict[int, List[Vec]]:
     """Levels 1..kmax of B^k(V0), built by the inductive pairing i + (k-i):
     levels[k] is B^k(V0) deduplicated and dominance-pruned."""
     if kmax < 1:
@@ -182,9 +181,9 @@ def bk_levels(s: BilinearSystem, kmax: int,
                     if v not in seen:
                         seen.add(v)
                         level.append(v)
-                        if len(level) > cap:
+                        if len(level) > LEVEL_CAP:
                             raise LevelBudgetExceeded(
-                                f"level {k} exceeds cap {cap}")
+                                f"level {k} exceeds cap {LEVEL_CAP}")
         levels[k] = _prune_dominated(level)
     return levels
 

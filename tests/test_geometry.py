@@ -311,10 +311,11 @@ nudge = st.sampled_from([Q(0), Q(0), Q(0), Q(1, 7), Q(1, 2)])
 
 
 @st.composite
-def admitted_queries(draw):
+def admitted_queries(draw, hulls=queries(rationals).map(lambda q: q[1])):
     """X, points near its boundary (convex combinations of two vectors,
-    some nudged outward), and queries below those points or anywhere."""
-    _, X = draw(queries(rationals))
+    some nudged outward), and queries below those points, equal to one, or
+    anywhere."""
+    X = draw(hulls)
     points = []
     for _ in range(draw(st.integers(1, 5))):
         u, v = draw(st.sampled_from(X)), draw(st.sampled_from(X))
@@ -324,13 +325,11 @@ def admitted_queries(draw):
     xs = [tuple(a * draw(shrink) for a in draw(st.sampled_from(points)))
           for _ in range(draw(st.integers(1, 6)))]
     xs += draw(st.lists(st.tuples(*([rationals] * len(X[0]))), max_size=2))
+    xs += draw(st.lists(st.sampled_from(points), max_size=2))
     return X, points, xs
 
 
-@settings(max_examples=150, deadline=None)
-@given(admitted_queries(), st.data())
-def test_admitted_points_change_no_answer(query, data):
-    X, points, xs = query
+def check_admitted(data, X, points, xs):
     hull = Hull(X)
     for p in points:
         if reference_member(p, X):
@@ -340,10 +339,26 @@ def test_admitted_points_change_no_answer(query, data):
     keep = data.draw(st.lists(st.sampled_from(range(len(X))), min_size=1,
                               unique=True).map(sorted))
     sub = hull.subset(keep)
-    assert sub.admitted == [] and len(sub.rows) == len(keep)
+    assert sub.admitted == [] and sub.shown == set()
+    assert sub.rows is None or len(sub.rows) == len(keep)
     part = [X[k] for k in keep]
     for x in xs:
         assert member_dominated_hull(x, sub) == reference_member(x, part)
+
+
+@settings(max_examples=150, deadline=None)
+@given(admitted_queries(), st.data())
+def test_admitted_points_change_no_answer(query, data):
+    check_admitted(data, *query)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_admitted_field_points_change_no_answer(sqrt2_field, data):
+    # entries rational or in Q(sqrt 2): a hull holding a field element
+    # keeps the points it admits as exact keys
+    hulls = sqrt2_query(sqrt2_field.alpha()).map(lambda q: q[1])
+    check_admitted(data, *data.draw(admitted_queries(hulls)))
 
 
 def test_admitted_point_settles_what_it_dominates(sqrt2_field, monkeypatch):
@@ -355,6 +370,12 @@ def test_admitted_point_settles_what_it_dominates(sqrt2_field, monkeypatch):
     for hull in hulls:
         assert member_dominated_hull((Q(1, 2), Q(1, 2)), hull)  # by an LP
         assert hull.admitted == [(Q(1, 2), Q(1, 2))]
+    # a hull holding a field element keeps what it admits as an exact key
+    root = sqrt2_field.alpha()
+    field_hull = Hull([(root - 1, Q(0)), (Q(0), Q(1))])
+    x = (Q(1, 4), root / 4)
+    assert member_dominated_hull(x, field_hull)  # by an LP
+    assert field_hull.admitted == [x] and field_hull.shown == {x}
 
     def no_lp(x, X):
         raise AssertionError("an LP was asked")
@@ -362,11 +383,7 @@ def test_admitted_point_settles_what_it_dominates(sqrt2_field, monkeypatch):
     monkeypatch.setattr(geometry, "lp_solve", no_lp)
     for hull in hulls:
         assert member_dominated_hull((Q(1, 3), Q(1, 2)), hull)
-    # a hull holding a field element admits nothing
-    root = sqrt2_field.alpha()
-    field_hull = Hull([(root - 1, Q(0)), (Q(0), Q(1))])
-    field_hull.admit((Q(1, 4), Q(1, 4)))
-    assert field_hull.admitted == [] and field_hull.rows is None
+    assert member_dominated_hull(x, field_hull)  # its repeat needs no LP
 
 
 def test_hull_rejects_mixed_dimensions_and_empty_sets():

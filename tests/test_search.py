@@ -1,7 +1,10 @@
 """Certificate search, verification, determinism, and file round-trips."""
 
+from collections import Counter
+
 import pytest
 
+import treebound.cli as cli
 import treebound.geometry as geometry
 import treebound.search as search
 from treebound.geometry import hull_reduce, lp_solve, member_dominated_hull
@@ -87,16 +90,60 @@ def test_search_min_perfect_dom(fx, plastic_field):
     assert sign_of(r.certificate.C - cert.C) == 0
 
 
-def test_search_matchings5_at_13_10(fx):
-    # the search workload's search: memos and pricing change no step of it
+def counting(monkeypatch, phase):
+    """A Counter of the LPs and products asked, keyed by (phase[0], kind)."""
+    asked = Counter()
+
+    def solve(x, X):
+        asked[phase[0], "lp"] += 1
+        return lp_solve(x, X)
+
+    def product(s, x, y):
+        asked[phase[0], "apply"] += 1
+        return apply(s, x, y)
+
+    monkeypatch.setattr(geometry, "lp_solve", solve)
+    monkeypatch.setattr(search, "apply", product)
+    return asked
+
+
+def test_search_matchings5_at_13_10(fx, monkeypatch):
+    # the search workload's search: memos and pricing change no step of it.
+    # A pair is checked only when one of its vectors is new to X: 989
+    # products where checking every pair not yet shown inside took 1,061
+    phase = ["search"]
+    asked = counting(monkeypatch, phase)
     s = fx.load_fixture_system(fx.BY_NAME["matchings5"])
     r = find_certificate(s, Q(13, 10))
     assert isinstance(r, Found)
     assert r.iterations == 8
     assert len(r.certificate.vectors) == 25
     assert r.certificate.C == Q(40000, 28561)
+    phase[0] = "verify"
     assert verify_certificate(s, Q(13, 10), r.certificate.vectors) == Valid(
         Q(40000, 28561))
+    assert asked["search", "lp"] == 310 and asked["search", "apply"] <= 989
+    assert asked["verify", "lp"] == 130
+
+
+def test_fixtures_run_search_asks_the_same_lps(monkeypatch, capsys):
+    # the bundled certificates' verifies and the searches of the fixtures
+    # whose search is not slow
+    phase = ["verify"]
+
+    def find(*args, **kwargs):
+        phase[0] = "search"
+        try:
+            return find_certificate(*args, **kwargs)
+        finally:
+            phase[0] = "verify"
+
+    asked = counting(monkeypatch, phase)
+    monkeypatch.setattr(cli, "find_certificate", find)
+    assert cli.main(["fixtures", "run", "--search"]) == 0
+    assert "budget exhausted" not in capsys.readouterr().out
+    assert asked["verify", "lp"] == 214 and asked["search", "lp"] == 373
+    assert asked["search", "apply"] <= 797
 
 
 def test_search_asks_no_lp_of_a_vector_a_reduction_dropped(fx, monkeypatch):
@@ -185,8 +232,10 @@ def test_search_trimmed_precondition(fx, sqrt2_field, pad_dead_coordinate):
 
 
 def test_upper_bound_report(indep_dom_system, indep_dom_cert):
-    text = upper_bound_report(indep_dom_system, indep_dom_cert,
-                              n_samples=[13])
+    C = verify_certificate(indep_dom_system, indep_dom_cert.alpha,
+                           indep_dom_cert.vectors).C
+    text = upper_bound_report(indep_dom_cert.alpha, C,
+                              len(indep_dom_cert.vectors), n_samples=[13])
     assert "alpha" in text and "1.414214" in text
     assert "n = 13" in text and "90.509" in text  # 2^6.5 ~ 90.51
 

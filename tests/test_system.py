@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import treebound.system as system
 from automaton_reference import scale_initial
 from level_reference import prune_dominated_pairwise, reference_levels
 from treebound.errors import EmptySystem, LevelBudgetExceeded, ParseError
@@ -169,9 +170,10 @@ def test_sorted_prune_keeps_the_pairwise_prunes_levels(fx, sqrt2_field):
             assert set(pruned[k]) == set(want[k])
 
 
-def test_level_cap(indep_dom_system):
+def test_level_cap(indep_dom_system, monkeypatch):
+    monkeypatch.setattr(system, "LEVEL_CAP", 3)
     with pytest.raises(LevelBudgetExceeded):
-        bk_levels(indep_dom_system, 9, cap=3)
+        bk_levels(indep_dom_system, 9)
 
 
 # -- file format -------------------------------------------------------------------
