@@ -43,6 +43,7 @@ from .search import (
     load_certificate,
     upper_bound_report,
     verify_certificate,
+    with_witnesses,
 )
 from .spectral import load_gadget, lower_bound, lower_bound_from_matrix, SquareMatrix
 from .system import format_system, load_system, trim
@@ -125,7 +126,13 @@ def cmd_bound(args) -> int:
     alpha, nf = parse_alpha_spec(args.alpha)
     if args.verify:
         cert = load_certificate(args.verify)
-        return _verify_and_report(system, cert, alpha=alpha)
+        rc = _verify_and_report(system, cert, alpha=alpha)
+        if rc == 0 and args.emit_certificate:
+            _write_out(with_witnesses(read_text(args.verify), system, alpha,
+                                      cert.vectors), args.emit_certificate)
+            print(f"certificate with witnesses written to "
+                  f"{args.emit_certificate}")
+        return rc
     seeds = ()
     if args.seed_file:
         seed_cert = load_certificate(args.seed_file)
@@ -161,7 +168,8 @@ def cmd_bound(args) -> int:
 
 def _verify_and_report(system, cert, alpha=None, claim=None) -> int:
     alpha = cert.alpha if alpha is None else alpha
-    outcome = verify_certificate(system, alpha, cert.vectors)
+    outcome = verify_certificate(system, alpha, cert.vectors, cert.witnesses,
+                                 cert.field)
     if isinstance(outcome, Valid):
         print("certificate VALID")
         if cert.C is not None and sign_of(cert.C - outcome.C) != 0:
@@ -304,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="certificate file whose vectors seed the search")
     p.add_argument("--max-iter", type=positive_int, default=10_000)
     p.add_argument("--max-vectors", type=positive_int, default=2_000)
-    p.add_argument("--emit-certificate", default=None, metavar="PATH")
+    p.add_argument("--emit-certificate", default=None, metavar="PATH",
+                   help="write the certificate found, or with --verify a "
+                        "valid certificate with its membership witnesses")
     p.add_argument("--verify", default=None, metavar="PATH",
                    help="skip the search and verify this certificate at "
                         "--alpha")

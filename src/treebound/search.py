@@ -18,8 +18,9 @@ independently, and a wrong guess merely fails to close.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .check import parse_lambda, witness_holds
 from .errors import (
     DimensionMismatch,
     LevelBudgetExceeded,
@@ -30,12 +31,15 @@ from .geometry import (
     Hull,
     Vec,
     hull_reduce,
+    lp_solve,
     member_dominated_hull,
     vec_is_nonnegative,
+    vec_leq,
     vec_scale,
     vec_sub,
 )
 from .numeric import (
+    PARSE_FAULTS,
     Directives,
     NumberField,
     decimal_str,
@@ -67,6 +71,8 @@ class Certificate:
     seeds: Tuple[Vec, ...] = ()
     C: object = None                   # max F.x over vectors (derived)
     coord_names: Optional[Tuple[str, ...]] = None
+    # query key ("v0" or (i, j)) -> its witness's (k, lambda token) terms
+    witnesses: Optional[Mapping] = None
 
 
 @dataclass(frozen=True)
@@ -95,10 +101,26 @@ class Invalid:
     pair: Optional[Tuple[Vec, Vec]] = None
 
 
-def verify_certificate(s: BilinearSystem, alpha, vectors: Sequence[Vec]):
+def _queries(s: BilinearSystem, alpha, vectors: Sequence[Vec]):
+    """The closure conditions' membership queries, in the order they are
+    checked, each with its witness key: V0/alpha under "v0", then
+    B(X_i, X_j) under (i, j) for every ordered pair."""
+    yield "v0", vec_scale(s.v0, invert(alpha))
+    for i, x in enumerate(vectors):
+        for j, y in enumerate(vectors):
+            yield (i, j), apply(s, x, y)
+
+
+def verify_certificate(s: BilinearSystem, alpha, vectors: Sequence[Vec],
+                       witnesses: Optional[Mapping] = None,
+                       field: Optional[NumberField] = None):
     """Independent check of the two closure conditions; shares no search state.
 
-    Valid(C) certifies count(n) <= C*alpha^n for all n; Invalid carries the
+    Each query is settled by its witness (`check.witness_holds`, lambda read
+    in `field`) when one is given and holds, and otherwise by the exact LP
+    against one Hull of the vectors, built at the first such query.  So a
+    witness never changes the verdict, only how it is reached.  Valid(C)
+    certifies count(n) <= C*alpha^n for all n; Invalid carries the
     offending vector or escaping product.
     """
     if not vectors:
@@ -110,16 +132,52 @@ def verify_certificate(s: BilinearSystem, alpha, vectors: Sequence[Vec]):
             raise ValueError("certificate vectors must be nonnegative")
     if sign_of(alpha) <= 0:
         raise NonPositiveScale("alpha must be positive")
-    x0 = vec_scale(s.v0, invert(alpha))
-    hull = Hull(vectors)
-    if not member_dominated_hull(x0, hull):
-        return Invalid(x0, "seed")
-    for x in vectors:
-        for y in vectors:
-            p = apply(s, x, y)
-            if not member_dominated_hull(p, hull):
-                return Invalid(p, "product", (x, y))
+    witnesses, hull = witnesses or {}, None
+    for key, p in _queries(s, alpha, vectors):
+        terms = witnesses.get(key)
+        if terms is not None:
+            try:
+                lam = parse_lambda(terms, field)
+            except PARSE_FAULTS as exc:
+                raise ParseError(f"bad weight in wit {_wit_key(key)}: {exc}"
+                                 ) from None
+            if witness_holds(p, vectors, lam):
+                continue
+        if hull is None:
+            hull = Hull(vectors)
+        if not member_dominated_hull(p, hull):
+            if key == "v0":
+                return Invalid(p, "seed")
+            i, j = key
+            return Invalid(p, "product", (vectors[i], vectors[j]))
     return Valid(level_max(s, vectors))
+
+
+def with_witnesses(text: str, s: BilinearSystem, alpha,
+                   vectors: Sequence[Vec]) -> str:
+    """The certificate file `text`, whose vectors are `vectors` and valid
+    at alpha, with its wit lines replaced by one per query: `k:1` for the
+    first X_k that dominates the query, else the nonzero weights of its LP."""
+    lines = [line for line in text.splitlines()
+             if line.split()[:1] != ["wit"]]
+    hull = Hull(vectors)
+    for key, p in _queries(s, alpha, vectors):
+        k = next((k for k, v in enumerate(vectors) if vec_leq(p, v)), None)
+        if k is not None:
+            lam = [(k, 1)]
+        else:
+            weights = lp_solve(p, hull)
+            if weights is None:
+                raise ValueError("witnesses of an invalid certificate")
+            lam = [(k, w) for k, w in enumerate(weights) if w != 0]
+        lines.append(f"wit {_wit_key(key)} "
+                     + " ".join(f"{k}:{format_number(w)}" for k, w in lam))
+    return "\n".join(lines) + "\n"
+
+
+def _wit_key(key) -> str:
+    """A query's key as its wit line writes it: v0, or i j."""
+    return key if key == "v0" else "%d %d" % key
 
 
 # -- the fixed-point search -------------------------------------------------------
@@ -292,6 +350,13 @@ def upper_bound_report(alpha, C, vectors: int,
 #   vec  c1 ... cn     (repeated)
 #   C <number>         (informative; re-derived on load)
 #   states s1 ... sn   (optional coordinate provenance)
+#   wit v0 k:l ...     (optional) witness that V0/alpha is in conv_<=(X)
+#   wit i j k:l ...    (optional) witness that B(X_i, X_j) is in conv_<=(X)
+# Witness indices are 0-based and count vec lines in file order; a term k:l
+# gives X_k the weight l, a number in the file's own syntax, and the terms
+# of one witness sum to 1.  `bound SYSTEM --alpha A --verify CERT
+# --emit-certificate OUT` writes CERT's other lines followed by one wit
+# line per query: k:1 when X_k dominates it, else at most dim + 1 LP terms.
 
 
 def format_certificate(cert: Certificate) -> str:
@@ -317,6 +382,7 @@ def parse_certificate(text: str) -> Certificate:
     vectors: List[Vec] = []
     names = None
     c_stated = None
+    witnesses: Dict = {}
     with Directives(text) as lines:
         for line in lines:
             kind, *args = line.split()
@@ -332,6 +398,11 @@ def parse_certificate(text: str) -> Certificate:
                 vectors.append(tuple(parse_number(t, nf) for t in args))
             elif kind == "C":
                 c_stated = parse_number(args[0], nf)
+            elif kind == "wit":
+                key, terms = _witness(args)
+                if key in witnesses:
+                    raise ParseError(f"a second wit {_wit_key(key)}")
+                witnesses[key] = terms
             else:
                 raise ParseError(f"unknown directive {kind!r}")
     if alpha is None or not vectors:
@@ -339,7 +410,33 @@ def parse_certificate(text: str) -> Certificate:
     dims = {len(v) for v in vectors} | {len(v) for v in seeds}
     if len(dims) != 1:
         raise ParseError("inconsistent vector dimensions")
-    return Certificate(nf, alpha, tuple(vectors), tuple(seeds), c_stated, names)
+    return Certificate(nf, alpha, tuple(vectors), tuple(seeds), c_stated, names,
+                       witnesses)
+
+
+def _witness(args: Sequence[str]):
+    """The key and (k, lambda token) terms of a wit line's fields.  Only the
+    structure is read here: each weight stays a token until the verifier
+    checks the witness, so a command that checks none never parses one."""
+    if args[0] == "v0":
+        key, terms = "v0", args[1:]
+    else:
+        key, terms = (_index(args[0]), _index(args[1])), args[2:]
+    if not terms:
+        raise ParseError("a witness needs k:lambda terms")
+    out = []
+    for term in terms:
+        k, colon, tok = term.partition(":")
+        if not colon:
+            raise ParseError(f"witness term {term!r} is not k:lambda")
+        out.append((_index(k), tok))
+    return key, tuple(out)
+
+
+def _index(tok: str) -> int:
+    if not (tok.isascii() and tok.isdigit()):
+        raise ValueError(f"index {tok!r} is not a nonnegative integer")
+    return int(tok)
 
 
 def load_certificate(path) -> Certificate:

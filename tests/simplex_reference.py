@@ -3,7 +3,8 @@
 A general exact two-phase simplex (Bland's rule) over any ordered exact
 coefficient type: min/max objectives, '<=', '=' and '>=' rows, unbounded and
 infeasible outcomes.  `reference_member` asks it the single question the
-package's phase-1 routine answers, so the two can be compared.
+package's phase-1 routine answers, so the two can be compared, and
+`reference_lambda` returns the weights that answer it.
 """
 
 from __future__ import annotations
@@ -191,8 +192,10 @@ def lp_solve(p: LPProblem) -> LPResult:
     return LPResult("optimal", value, tuple(point))
 
 
-def reference_member(x: Vec, X: Sequence[Vec]) -> bool:
-    """Is x in conv_<=(X)?  The LP feasibility problem, as a general LP."""
+def reference_lambda(x: Vec, X: Sequence[Vec]) -> Optional[Vec]:
+    """lambda >= 0 with sum lambda = 1 and sum lambda_i X_i >= x, a vertex
+    of the feasibility problem as a general LP, or None when x is not in
+    conv_<=(X)."""
     m = len(X)
     rows = [tuple(QONE for _ in range(m))]
     senses = ["="]
@@ -203,4 +206,10 @@ def reference_member(x: Vec, X: Sequence[Vec]) -> bool:
         rhs.append(x[j])
     prob = LPProblem(tuple(rows), tuple(senses), tuple(rhs),
                      tuple(QZERO for _ in range(m)), "min")
-    return lp_solve(prob).status == "optimal"
+    result = lp_solve(prob)
+    return result.point if result.status == "optimal" else None
+
+
+def reference_member(x: Vec, X: Sequence[Vec]) -> bool:
+    """Is x in conv_<=(X)?  The LP feasibility problem, as a general LP."""
+    return reference_lambda(x, X) is not None

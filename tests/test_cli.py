@@ -1,7 +1,10 @@
 """CLI surface: subcommands, exit codes, file round-trips."""
 
 from fractions import Fraction
+import importlib.util
+from pathlib import Path
 import re
+import sys
 
 import pytest
 
@@ -21,6 +24,13 @@ def data(name) -> str:
 
 DATA_DIR = data("")
 SQRT2 = b"field: -2,0,1 ; interval 1 2\n"
+# an indep_dom certificate (dim 3) whose witness lines the cases append
+WIT = b"alpha 2\nvec 1 1 1\n"
+
+
+def strip_witnesses(text: str) -> str:
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("wit "))
 
 
 def padded_indep_dom() -> str:
@@ -199,6 +209,75 @@ def test_bound_verify_flag(capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("name", ["indep_dom", "perfect_codes",
+                                  "min_perfect_dom", "matchings3",
+                                  "total_perfect_dom"])
+def test_bound_verify_emits_the_bundled_witnesses(tmp_path, capsys, name):
+    # the bundled certificates were written by this command from their
+    # witness-free lines: it reproduces them byte for byte, and rewrites a
+    # file that already has witnesses to the same bytes
+    bundled = fixreg.read_data(f"{name}.cert")
+    stripped = tmp_path / "stripped.cert"
+    stripped.write_text(strip_witnesses(bundled))
+    for source in (stripped, data(f"{name}.cert")):
+        out = tmp_path / "out.cert"
+        assert main(["bound", data(f"{name}.system"),
+                     "--alpha", fixtures.BY_NAME[name].alpha_spec,
+                     "--verify", str(source),
+                     "--emit-certificate", str(out)]) == 0
+        assert out.read_text() == bundled
+        assert capsys.readouterr().out.endswith(
+            f"certificate with witnesses written to {out}\n")
+
+
+def test_bound_verify_emits_nothing_for_an_invalid_certificate(tmp_path,
+                                                                capsys):
+    t = tmp_path / "bad.cert"
+    t.write_text(strip_witnesses(fixreg.read_data("indep_dom.cert"))
+                 .replace("vec 0 1/2 1/2\n", ""))
+    out = tmp_path / "out.cert"
+    assert main(["bound", data("indep_dom.system"), "--alpha",
+                 "root(x^2-2,1,2)", "--verify", str(t),
+                 "--emit-certificate", str(out)]) == 1
+    assert "INVALID" in capsys.readouterr().out and not out.exists()
+
+
+def test_halved_certificate_with_its_witnesses_is_invalid(tmp_path, capsys,
+                                                          monkeypatch):
+    # the benchmark's tampered copy halves every vec line and keeps the wit
+    # lines, whose weights then no longer prove V0/alpha inside
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read-only
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    reference = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, reference)
+    spec.loader.exec_module(reference)
+    halved = tmp_path / "halved.cert"
+    halved.write_text(reference.halve_certificate(
+        fixreg.read_data("min_perfect_dom.cert")))
+    assert "wit v0 " in halved.read_text()
+    assert main(["verify", data("min_perfect_dom.system"), str(halved)]) == 1
+    out = capsys.readouterr().out
+    assert "certificate INVALID" in out
+    assert "escaping seed vector V0/alpha" in out
+
+
+def test_only_verify_parses_a_witness_weight(tmp_path, capsys):
+    # the audit and a seed file read the wit lines' structure, not their
+    # weights; verify reads the weights it checks
+    cert = tmp_path / "bad.cert"
+    cert.write_text(fixreg.read_data("indep_dom.cert")
+                    .replace("wit v0 2:1\n", "wit v0 2:1/0\n"))
+    system = data("indep_dom.system")
+    assert main(["oracle", "--system", system, "--k", "6",
+                 "--audit", str(cert)]) == 0
+    assert main(["bound", system, "--alpha", "3/2", "--max-iter", "20",
+                 "--seed-file", str(cert)]) == 0
+    capsys.readouterr()
+    assert main(["verify", system, str(cert)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: ")
+
+
 def test_oracle_cli_agreement(capsys):
     rc = main(["oracle", "--system", data("matchings3.system"), "--k", "6"])
     assert rc == 0
@@ -288,6 +367,21 @@ def test_spectral_cli_exact_root(capsys, count, size, beta):
     ["bound", data("indep_dom.system"), "--alpha", "root(x^2-2,1,2/0)"],
     ["bound", data("indep_dom.system"), "--alpha", "nthroot(3/0,2)"],
     ["verify", DATA_DIR, DATA_DIR],
+    # witness lines: a second witness for a pair, an index that is not a
+    # nonnegative int, a term without ':', no term, a weight that does not
+    # parse (read when verify checks it)
+    ["verify", data("indep_dom.system"), WIT + b"wit 0 0 0:1\nwit 0 0 0:1\n"],
+    ["verify", data("indep_dom.system"), WIT + b"wit v0 0:1\nwit v0 0:1\n"],
+    ["verify", data("indep_dom.system"), WIT + b"wit 0 a 0:1\n"],
+    ["verify", data("indep_dom.system"), WIT + b"wit -1 0 0:1\n"],
+    ["verify", data("indep_dom.system"), WIT + b"wit v0 1/2:1\n"],
+    ["verify", data("indep_dom.system"), WIT + b"wit v0 1\n"],
+    ["verify", data("indep_dom.system"), WIT + b"wit 0\n"],
+    ["verify", data("indep_dom.system"), WIT + b"wit v0\n"],
+    ["verify", data("indep_dom.system"), WIT + b"wit v0 0:1/0\n"],
+    ["verify", data("indep_dom.system"), WIT + b"wit v0 0:\n"],
+    ["verify", data("indep_dom.system"), WIT + b"wit v0 0:poly(0,1)\n"],
+    ["verify", data("indep_dom.system"), WIT + b"wit v0 0:1\nwit 0 0 0:x\n"],
     ["verify", b"\xff\xfe dim 2\n", data("indep_dom.cert")],
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):

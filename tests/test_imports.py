@@ -119,3 +119,16 @@ def test_every_function_is_used_in_the_package():
     sources = {str(p.relative_to(PACKAGE)): p.read_text()
                for p in sorted(PACKAGE.rglob("*.py"))}
     assert unreferenced_functions(sources) == {}
+
+
+def test_the_checker_imports_only_the_field_arithmetic():
+    # the witness checker shares no kernel with the search: nothing from
+    # geometry, search or spectral, and no module but numeric at all
+    tree = ast.parse((PACKAGE / "check.py").read_text())
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = {(node.level, node.module) for node in imports
+               if isinstance(node, ast.ImportFrom)
+               and node.module != "__future__"}
+    assert modules == {(1, "numeric")}
+    assert all(isinstance(node, ast.ImportFrom) for node in imports)

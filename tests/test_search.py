@@ -1,6 +1,7 @@
 """Certificate search, verification, determinism, and file round-trips."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -19,6 +20,7 @@ from treebound.search import (
     _geometric_limit,
     find_certificate,
     format_certificate,
+    load_certificate,
     parse_certificate,
     upper_bound_report,
     verify_certificate,
@@ -127,8 +129,10 @@ def test_search_matchings5_at_13_10(fx, monkeypatch):
 
 
 def test_fixtures_run_search_asks_the_same_lps(monkeypatch, capsys):
-    # the bundled certificates' verifies and the searches of the fixtures
-    # whose search is not slow
+    # the verifies of the bundled certificates with their witnesses stripped,
+    # which take the LP path, and the searches of the fixtures whose search
+    # is not slow; then the verifies with the witnesses, which ask no LP and
+    # print the same reports and exit code for all 7 certificates
     phase = ["verify"]
 
     def find(*args, **kwargs):
@@ -140,10 +144,20 @@ def test_fixtures_run_search_asks_the_same_lps(monkeypatch, capsys):
 
     asked = counting(monkeypatch, phase)
     monkeypatch.setattr(cli, "find_certificate", find)
+    monkeypatch.setattr(cli, "load_certificate", lambda path: replace(
+        load_certificate(path), witnesses=None))
     assert cli.main(["fixtures", "run", "--search"]) == 0
-    assert "budget exhausted" not in capsys.readouterr().out
+    stripped = capsys.readouterr().out
+    assert "budget exhausted" not in stripped
     assert asked["verify", "lp"] == 214 and asked["search", "lp"] == 373
     assert asked["search", "apply"] <= 797
+    asked.clear()
+    monkeypatch.setattr(cli, "load_certificate", load_certificate)
+    assert cli.main(["fixtures", "run"]) == 0
+    assert asked["verify", "lp"] == 0
+    assert capsys.readouterr().out == "".join(
+        line for line in stripped.splitlines(keepends=True)
+        if not line.startswith("search: "))
 
 
 def test_search_asks_no_lp_of_a_vector_a_reduction_dropped(fx, monkeypatch):
