@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -41,6 +42,7 @@ from .search import (
     find_certificate,
     format_certificate,
     load_certificate,
+    parse_certificate,
     upper_bound_report,
     verify_certificate,
     with_witnesses,
@@ -125,11 +127,20 @@ def cmd_bound(args) -> int:
     system = _load_trimmed(args.system)
     alpha, nf = parse_alpha_spec(args.alpha)
     if args.verify:
-        cert = load_certificate(args.verify)
+        text = read_text(args.verify)
+        cert, witnessed = parse_certificate(text), None
+        if args.emit_certificate:
+            # witnesses first, so the verify asks no LP of a query CERT
+            # has no witness for; CERT's own still go first, read as
+            # verify reads them
+            witnessed = with_witnesses(text, system, alpha, cert.vectors)
+            if witnessed is not None:
+                cert = replace(cert, witnesses={
+                    **parse_certificate(witnessed).witnesses,
+                    **cert.witnesses})
         rc = _verify_and_report(system, cert, alpha=alpha)
-        if rc == 0 and args.emit_certificate:
-            _write_out(with_witnesses(read_text(args.verify), system, alpha,
-                                      cert.vectors), args.emit_certificate)
+        if rc == 0 and witnessed is not None:
+            _write_out(witnessed, args.emit_certificate)
             print(f"certificate with witnesses written to "
                   f"{args.emit_certificate}")
         return rc

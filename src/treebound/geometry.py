@@ -5,8 +5,11 @@ downward closure of the convex hull of X inside the nonnegative orthant?
 `lp_solve` answers it with a revised phase-1 simplex over any exact ordered
 coefficient type (rationals or elements of one algebraic number field): it
 keeps only the scaled basis inverse and the right-hand side, and prices the
-original columns against it.  On top of it sit membership and the reduction
-of a vector set to a minimal subset with the same dominated hull.
+original columns against it.  On rational data it starts from the single
+vector of X that covers x in the most coordinates, a surplus in each row it
+covers; over Q(alpha) from the artificial basis.  On top of it sit membership
+and the reduction of a vector set to a minimal subset with the same
+dominated hull.
 """
 
 from __future__ import annotations
@@ -153,14 +156,25 @@ def lp_solve(x: Vec, X) -> Optional[Vec]:
     X is a `Hull` or a plain sequence of vectors, prepared here.
 
     Phase 1 of the revised simplex (Dantzig & Orchard-Hays 1954) on A z = b,
-    z = (lambda, a surplus per coordinate), from the artificial basis.  Only
-    [M | beta] is kept: M = d * B^-1, the basis inverse times d, the last
-    pivot, and beta = M b.  The pivots are integer-preserving (Edmonds 1967,
-    Bareiss 1968): each divides exactly by the previous d.  A row of A whose
-    entries all have rational values is scaled to ints by its lcm
-    denominator, lcm(L_j, den x_j) from the hull's cached column; with every
-    row so scaled, [M | beta] stays in ints with no gcd work, and over
-    Q(alpha) the update multiplies by one inverse of d per pivot.
+    z = (lambda, a surplus per coordinate).  Only [M | beta] is kept:
+    M = d * B^-1, the basis inverse times d, the last pivot, and beta = M b.
+    The pivots are integer-preserving (Edmonds 1967, Bareiss 1968): each
+    divides exactly by the previous d.  A row of A whose entries all have
+    rational values is scaled to ints by its lcm denominator, lcm(L_j,
+    den x_j) from the hull's cached column; with every row so scaled,
+    [M | beta] stays in ints with no gcd work, and over Q(alpha) the update
+    multiplies by one inverse of d per pivot.
+
+    Start: with every row in ints, a crash basis (Bixby 1992) shaped to the
+    question: lambda_k basic in row 0, X_k the vector short of x in the
+    fewest coordinates (lowest index on ties), and in row j the surplus
+    where X_kj >= x_j, else the artificial.  B is triangular with +-1 on
+    its diagonal, so d = 1 and [M | beta] is written down: row j is
+    s(e_j - A_jk e_0 | b_j - A_jk), s = -1 for a surplus and 1 for an
+    artificial, both >= 0 in beta.  So lambda = e_k when X_k covers x, and
+    a query that escapes the domination test starts a few pivots from
+    feasible.  With a field row, the artificial basis: each row flipped to
+    b_j >= 0, M = I and beta = b.
 
     Pricing: column j of A has the reduced cost -u.A_j (times d), u the sum
     of the rows of M whose basic variable is still artificial; a basic
@@ -175,7 +189,8 @@ def lp_solve(x: Vec, X) -> Optional[Vec]:
     hull = _hull(x, X)
     m, n = len(hull.vectors), len(x)
     width = m + n                   # lambda columns, then one surplus each
-    data, rhs, sur = [], [1], []    # rows 1..n of A, b, surplus entries
+    data, rhs = [], []              # rows 1..n of A and of b
+    sur = [-1] * n                  # surplus j's entry in row j + 1
     all_int = True                  # no field row: Dantzig pricing
     for a, scale, col, raw in zip(x, hull.scales, hull.cols, hull.raw):
         v = _rational(a)
@@ -187,19 +202,32 @@ def lp_solve(x: Vec, X) -> Optional[Vec]:
             row = col if full == scale else list(map((full // scale).__mul__,
                                                       col))
             b = v.numerator * (full // v.denominator)
-        if sign_of(b) < 0:          # rhs >= 0 for the artificial basis
-            row, b = [-c for c in row], -b
-            sur.append(1)
-        else:
-            sur.append(-1)
         data.append(row)
         rhs.append(b)
+    # [M | beta] and the basic variables; the artificial of row j is
+    # width + j, and is never stored
+    if all_int:
+        # the crash start: lambda_k, then a surplus or an artificial a row
+        k = min(range(m), key=lambda i: sum(b > row[i]
+                                            for row, b in zip(data, rhs)))
+        inv_rhs, basis = [[1] + [0] * n + [1]], [k]
+        for j, (row, b) in enumerate(zip(data, rhs), 1):
+            r = b - row[k]
+            s = -1 if r <= 0 else 1
+            basis.append(m + j - 1 if s < 0 else width + j)
+            line = [-s * row[k]] + [0] * n + [s * r]
+            line[j] = s
+            inv_rhs.append(line)
+    else:
+        # the artificial start, each row flipped to b >= 0: M = I, beta = b
+        for j, b in enumerate(rhs):
+            if sign_of(b) < 0:
+                data[j], rhs[j], sur[j] = [-c for c in data[j]], -b, 1
+        inv_rhs = [[0] * (n + 1) + [b] for b in [1] + rhs]
+        for i, row in enumerate(inv_rhs):
+            row[i] = 1
+        basis = [width + i for i in range(n + 1)]
     cols = list(zip([1] * m, *data))    # the lambda columns of A
-    # [M | beta], from the artificial basis: M = I, beta = b
-    inv_rhs = [[0] * (n + 1) + [b] for b in rhs]
-    for i, row in enumerate(inv_rhs):
-        row[i] = 1
-    basis = [width + i for i in range(n + 1)]   # artificials, never stored
     d = 1
     bland = not all_int
     while True:

@@ -111,6 +111,20 @@ def _queries(s: BilinearSystem, alpha, vectors: Sequence[Vec]):
             yield (i, j), apply(s, x, y)
 
 
+def _check_vectors(s: BilinearSystem, alpha, vectors: Sequence[Vec]):
+    """Raise unless the vectors are nonempty, nonnegative and of the
+    system's dimension and alpha is positive."""
+    if not vectors:
+        raise ValueError("empty certificate")
+    for v in vectors:
+        if len(v) != s.dim:
+            raise DimensionMismatch("certificate vector of wrong dimension")
+        if not vec_is_nonnegative(v):
+            raise ValueError("certificate vectors must be nonnegative")
+    if sign_of(alpha) <= 0:
+        raise NonPositiveScale("alpha must be positive")
+
+
 def verify_certificate(s: BilinearSystem, alpha, vectors: Sequence[Vec],
                        witnesses: Optional[Mapping] = None,
                        field: Optional[NumberField] = None):
@@ -123,15 +137,7 @@ def verify_certificate(s: BilinearSystem, alpha, vectors: Sequence[Vec],
     certifies count(n) <= C*alpha^n for all n; Invalid carries the
     offending vector or escaping product.
     """
-    if not vectors:
-        raise ValueError("empty certificate")
-    for v in vectors:
-        if len(v) != s.dim:
-            raise DimensionMismatch("certificate vector of wrong dimension")
-        if not vec_is_nonnegative(v):
-            raise ValueError("certificate vectors must be nonnegative")
-    if sign_of(alpha) <= 0:
-        raise NonPositiveScale("alpha must be positive")
+    _check_vectors(s, alpha, vectors)
     witnesses, hull = witnesses or {}, None
     for key, p in _queries(s, alpha, vectors):
         terms = witnesses.get(key)
@@ -154,10 +160,13 @@ def verify_certificate(s: BilinearSystem, alpha, vectors: Sequence[Vec],
 
 
 def with_witnesses(text: str, s: BilinearSystem, alpha,
-                   vectors: Sequence[Vec]) -> str:
-    """The certificate file `text`, whose vectors are `vectors` and valid
-    at alpha, with its wit lines replaced by one per query: `k:1` for the
-    first X_k that dominates the query, else the nonzero weights of its LP."""
+                   vectors: Sequence[Vec]) -> Optional[str]:
+    """The certificate file `text`, whose vectors are `vectors`, with its
+    wit lines replaced by one per query: `k:1` for the first X_k that
+    dominates the query, else the nonzero weights of its LP.  None when a
+    query lies outside conv_<=(X), so the certificate is invalid at alpha;
+    malformed vectors or alpha raise as in `verify_certificate`."""
+    _check_vectors(s, alpha, vectors)
     lines = [line for line in text.splitlines()
              if line.split()[:1] != ["wit"]]
     hull = Hull(vectors)
@@ -168,7 +177,7 @@ def with_witnesses(text: str, s: BilinearSystem, alpha,
         else:
             weights = lp_solve(p, hull)
             if weights is None:
-                raise ValueError("witnesses of an invalid certificate")
+                return None
             lam = [(k, w) for k, w in enumerate(weights) if w != 0]
         lines.append(f"wit {_wit_key(key)} "
                      + " ".join(f"{k}:{format_number(w)}" for k, w in lam))

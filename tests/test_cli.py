@@ -154,6 +154,29 @@ def test_matchings5_bound_and_verify_ask_fewer_lps(tmp_path, monkeypatch,
     capsys.readouterr()
 
 
+def test_matchings5_bound_takes_few_pivots(tmp_path, monkeypatch, capsys):
+    # on int rows phase 1 starts from the best single vector and a surplus
+    # in each row it covers; from the all-artificial basis the same 310 LPs
+    # took 3,662 pivots
+    asked = {"lp": 0, "pivot": 0}
+
+    def solve(x, X):
+        asked["lp"] += 1
+        return lp_solve(x, X)
+
+    def pivot(*args):
+        asked["pivot"] += 1
+        return _pivot(*args)
+
+    lp_solve, _pivot = geometry.lp_solve, geometry._pivot
+    monkeypatch.setattr(geometry, "lp_solve", solve)
+    monkeypatch.setattr(geometry, "_pivot", pivot)
+    assert main(["bound", data("matchings5.system"), "--alpha", "13/10",
+                 "--emit-certificate", str(tmp_path / "m5.cert")]) == 0
+    assert asked["lp"] == 310 and asked["pivot"] < 2000
+    capsys.readouterr()
+
+
 def test_bound_budget_exhaustion_diagnostics(tmp_path, capsys):
     rc = main(["bound", data("indep_dom.system"), "--alpha", "7/5",
                "--max-iter", "5",
@@ -230,6 +253,31 @@ def test_bound_verify_emits_the_bundled_witnesses(tmp_path, capsys, name):
             f"certificate with witnesses written to {out}\n")
 
 
+def test_bound_verify_emit_asks_each_lp_once(tmp_path, monkeypatch, capsys):
+    # the witnesses are written first and the verify only checks them: on a
+    # witness-free min_perfect_dom certificate the writer's 7 LPs are all,
+    # where verifying first asked 6 more
+    asked = []
+
+    def solve(x, X):
+        asked.append(x)
+        return lp_solve(x, X)
+
+    lp_solve = geometry.lp_solve
+    monkeypatch.setattr(geometry, "lp_solve", solve)
+    monkeypatch.setattr(search, "lp_solve", solve)
+    bundled = fixreg.read_data("min_perfect_dom.cert")
+    stripped = tmp_path / "stripped.cert"
+    stripped.write_text(strip_witnesses(bundled))
+    out = tmp_path / "out.cert"
+    assert main(["bound", data("min_perfect_dom.system"),
+                 "--alpha", fixtures.BY_NAME["min_perfect_dom"].alpha_spec,
+                 "--verify", str(stripped),
+                 "--emit-certificate", str(out)]) == 0
+    assert out.read_text() == bundled and len(asked) == 7
+    capsys.readouterr()
+
+
 def test_bound_verify_emits_nothing_for_an_invalid_certificate(tmp_path,
                                                                 capsys):
     t = tmp_path / "bad.cert"
@@ -240,6 +288,21 @@ def test_bound_verify_emits_nothing_for_an_invalid_certificate(tmp_path,
                  "root(x^2-2,1,2)", "--verify", str(t),
                  "--emit-certificate", str(out)]) == 1
     assert "INVALID" in capsys.readouterr().out and not out.exists()
+
+
+def test_bound_verify_emit_reads_the_certificates_own_weights(tmp_path,
+                                                              capsys):
+    # the written witnesses replace CERT's, but a CERT weight that does not
+    # parse is still a parse error, and nothing is written
+    t = tmp_path / "bad.cert"
+    t.write_text(strip_witnesses(fixreg.read_data("indep_dom.cert"))
+                 + "wit v0 0:x\n")
+    out = tmp_path / "out.cert"
+    assert main(["bound", data("indep_dom.system"), "--alpha",
+                 "root(x^2-2,1,2)", "--verify", str(t),
+                 "--emit-certificate", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: ")
+    assert not out.exists()
 
 
 def test_halved_certificate_with_its_witnesses_is_invalid(tmp_path, capsys,

@@ -1,5 +1,8 @@
 """Phase-1 membership LP, dominated-hull membership, and hull reduction."""
 
+from math import lcm
+from operator import mul
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -133,21 +136,27 @@ def test_lp_agrees_with_reference_sqrt2(sqrt2_field, query):
 
 
 def test_lp_degenerate_pivot_hands_pricing_to_bland(monkeypatch):
-    # Dantzig's first pivot is degenerate (its row has rhs 0), so Bland's
-    # rule picks the next column, lambda_0, where Dantzig would take the
-    # surplus column 3; after that nondegenerate pivot Dantzig resumes
+    # the start basis is lambda_0, the surplus of row 1 at rhs 0 (X_00 = x_0)
+    # and the artificial of row 2.  Dantzig's first pivot, lambda_4, is
+    # degenerate: it takes that surplus's place.  So Bland's rule picks the
+    # next column, lambda_1, where Dantzig would take lambda_3; after that
+    # nondegenerate pivot Dantzig resumes with lambda_3, where Bland's rule
+    # would take lambda_2
     per_pivot = []
 
     def pivot(rows, basis, t, leave, enter, *rest):
-        per_pivot.append((enter, rows[leave][-1]))
+        per_pivot.append((enter, basis[leave], rows[leave][-1]))
         return _pivot(rows, basis, t, leave, enter, *rest)
 
     _pivot = geometry._pivot
     monkeypatch.setattr(geometry, "_pivot", pivot)
-    x, X = (Q(1, 2), Q(0), Q(1)), [(Q(0), Q(0), Q(2)), (Q(3), Q(2), Q(0))]
-    assert lp_solve(x, X) == (Q(5, 6), Q(1, 6))
-    assert [c for c, _ in per_pivot] == [1, 0, 3, 4]
-    assert [sign_of(b) for _, b in per_pivot] == [0, 1, 1, 1]
+    x = (Q(1, 2), Q(2))
+    X = [(Q(1, 2), Q(0)), (Q(1, 2), Q(1)), (Q(1), Q(0)), (Q(2), Q(1)),
+         (Q(0), Q(3))]
+    assert lp_solve(x, X) == (Q(0), Q(1, 3), Q(0), Q(1, 6), Q(1, 2))
+    assert [c for c, _, _ in per_pivot] == [4, 1, 3]
+    assert per_pivot[0][1] == len(X)        # surplus 0 leaves
+    assert [sign_of(b) for _, _, b in per_pivot] == [0, 1, 1]
 
 
 def test_member_escape_test_is_strict():
@@ -217,6 +226,80 @@ def test_lp_embedded_rational_query_takes_the_same_path(sqrt2_field, query):
     x, X = query
     emb = lambda v: tuple(sqrt2_field.element([c]) for c in v)
     assert lp_solve(emb(x), [emb(v) for v in X]) == lp_solve(x, X)
+
+
+# -- the integer-preserving pivots stay exact ------------------------------------
+# `_pivot` divides ints with //, which floors an inexact quotient without
+# raising.  So on rational data [M | beta] is checked against A and b, scaled
+# as `lp_solve` scales them, at the start and after every pivot.
+
+
+@st.composite
+def crash_queries(draw):
+    """x near a vector of X: equal to it in some coordinates (a zero
+    residual at the start), above it or negative in others; X drawn with
+    repeats from a small pool, so the counts of short rows tie."""
+    n = draw(st.integers(1, 6))
+    vec = st.tuples(*([sparse] * n))
+    pool = draw(st.lists(vec, min_size=1, max_size=5))
+    X = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    shift = st.sampled_from([Q(0), Q(0), Q(1, 3), Q(1), Q(-1, 2), Q(-3)])
+    return tuple(a + draw(shift) for a in draw(st.sampled_from(X))), X
+
+
+def scaled_problem(x, X):
+    """Rows 0..n of A (lambda columns only) and b: row j + 1 is coordinate
+    j times the lcm of the denominators of x_j and the X_ij."""
+    A, b = [[1] * len(X)], [1]
+    for j, a in enumerate(x):
+        scale = lcm(*(Q(c).denominator for c in [a] + [v[j] for v in X]))
+        A.append([int(v[j] * scale) for v in X])
+        b.append(int(a * scale))
+    return A, b
+
+
+def check_exact(rows, basis, d, A, b):
+    """d > 0, M B = d I and beta = M b >= 0, B the basic columns of
+    [A | -I | I] (lambda, then a surplus and an artificial per row)."""
+    m, size = len(A[0]), len(A)
+
+    def column(k):
+        if k < m:
+            return [r[k] for r in A]
+        if k < m + size - 1:
+            return [-int(i == k - m + 1) for i in range(size)]
+        return [int(i == k - m - size + 1) for i in range(size)]
+
+    B = [column(k) for k in basis]
+    assert d > 0
+    for r, row in enumerate(rows):
+        assert all(type(a) is int for a in row)
+        M = row[:-1]
+        assert [sum(map(mul, M, c)) for c in B] == [d * (i == r)
+                                                    for i in range(size)]
+        assert row[-1] == sum(map(mul, M, b)) >= 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(queries(rationals), hard_queries(), crash_queries()))
+def test_lp_pivots_keep_the_scaled_inverse_exact(query):
+    x, X = query
+    A, b = scaled_problem(x, X)
+
+    def pivot(rows, basis, t, leave, enter, d, ints):
+        assert ints
+        check_exact(rows, basis, d, A, b)
+        d = _pivot(rows, basis, t, leave, enter, d, ints)
+        check_exact(rows, basis, d, A, b)
+        return d
+
+    _pivot = geometry._pivot
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_pivot", pivot)
+        lam = lp_solve(x, X)
+    assert (lam is not None) == reference_member(x, X)
+    if lam is not None:
+        assert_witness(lam, x, X)
 
 
 # -- lp_solve against the full-tableau routine it replaced -----------------------
