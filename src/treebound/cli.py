@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -130,14 +129,11 @@ def cmd_bound(args) -> int:
         text = read_text(args.verify)
         cert, witnessed = parse_certificate(text), None
         if args.emit_certificate:
-            # witnesses first, so the verify asks no LP of a query CERT
-            # has no witness for; CERT's own still go first, read as
-            # verify reads them
-            witnessed = with_witnesses(text, system, alpha, cert.vectors)
+            # witnesses first, keeping CERT's own where they hold, so the
+            # verify of the written text asks no LP
+            witnessed = with_witnesses(text, system, alpha, cert)
             if witnessed is not None:
-                cert = replace(cert, witnesses={
-                    **parse_certificate(witnessed).witnesses,
-                    **cert.witnesses})
+                cert = parse_certificate(witnessed)
         rc = _verify_and_report(system, cert, alpha=alpha)
         if rc == 0 and witnessed is not None:
             _write_out(witnessed, args.emit_certificate)

@@ -5,11 +5,10 @@ downward closure of the convex hull of X inside the nonnegative orthant?
 `lp_solve` answers it with a revised phase-1 simplex over any exact ordered
 coefficient type (rationals or elements of one algebraic number field): it
 keeps only the scaled basis inverse and the right-hand side, and prices the
-original columns against it.  On rational data it starts from the single
-vector of X that covers x in the most coordinates, a surplus in each row it
-covers; over Q(alpha) from the artificial basis.  On top of it sit membership
-and the reduction of a vector set to a minimal subset with the same
-dominated hull.
+original columns against it.  It starts from the single vector of X that
+covers x in the most coordinates, a surplus in each row it covers.  On top
+of it sit membership and the reduction of a vector set to a minimal subset
+with the same dominated hull.
 """
 
 from __future__ import annotations
@@ -165,21 +164,20 @@ def lp_solve(x: Vec, X) -> Optional[Vec]:
     [M | beta] stays in ints with no gcd work, and over Q(alpha) the update
     multiplies by one inverse of d per pivot.
 
-    Start: with every row in ints, a crash basis (Bixby 1992) shaped to the
-    question: lambda_k basic in row 0, X_k the vector short of x in the
-    fewest coordinates (lowest index on ties), and in row j the surplus
+    Start: a crash basis (Bixby 1992) shaped to the question, over Q and
+    Q(alpha) alike: lambda_k basic in row 0, X_k the vector short of x in
+    the fewest coordinates (lowest index on ties), and in row j the surplus
     where X_kj >= x_j, else the artificial.  B is triangular with +-1 on
     its diagonal, so d = 1 and [M | beta] is written down: row j is
     s(e_j - A_jk e_0 | b_j - A_jk), s = -1 for a surplus and 1 for an
     artificial, both >= 0 in beta.  So lambda = e_k when X_k covers x, and
     a query that escapes the domination test starts a few pivots from
-    feasible.  With a field row, the artificial basis: each row flipped to
-    b_j >= 0, M = I and beta = b.
+    feasible.
 
     Pricing: column j of A has the reduced cost -u.A_j (times d), u the sum
     of the rows of M whose basic variable is still artificial; a basic
-    column's is 0 and is not computed, and surplus column j, +-1 in row
-    j + 1, costs -+u_{j+1}.  On all-int data the most negative one enters
+    column's is 0 and is not computed, and surplus column j, -1 in row
+    j + 1, costs u_{j+1}.  On all-int data the most negative one enters
     (Dantzig), lowest index on ties.  Bland's rule (the lowest index with a
     negative reduced cost) prices field data, and any pivot after a
     degenerate one (pivot row rhs 0) until the next nondegenerate one; a
@@ -190,7 +188,6 @@ def lp_solve(x: Vec, X) -> Optional[Vec]:
     m, n = len(hull.vectors), len(x)
     width = m + n                   # lambda columns, then one surplus each
     data, rhs = [], []              # rows 1..n of A and of b
-    sur = [-1] * n                  # surplus j's entry in row j + 1
     all_int = True                  # no field row: Dantzig pricing
     for a, scale, col, raw in zip(x, hull.scales, hull.cols, hull.raw):
         v = _rational(a)
@@ -204,29 +201,18 @@ def lp_solve(x: Vec, X) -> Optional[Vec]:
             b = v.numerator * (full // v.denominator)
         data.append(row)
         rhs.append(b)
-    # [M | beta] and the basic variables; the artificial of row j is
-    # width + j, and is never stored
-    if all_int:
-        # the crash start: lambda_k, then a surplus or an artificial a row
-        k = min(range(m), key=lambda i: sum(b > row[i]
-                                            for row, b in zip(data, rhs)))
-        inv_rhs, basis = [[1] + [0] * n + [1]], [k]
-        for j, (row, b) in enumerate(zip(data, rhs), 1):
-            r = b - row[k]
-            s = -1 if r <= 0 else 1
-            basis.append(m + j - 1 if s < 0 else width + j)
-            line = [-s * row[k]] + [0] * n + [s * r]
-            line[j] = s
-            inv_rhs.append(line)
-    else:
-        # the artificial start, each row flipped to b >= 0: M = I, beta = b
-        for j, b in enumerate(rhs):
-            if sign_of(b) < 0:
-                data[j], rhs[j], sur[j] = [-c for c in data[j]], -b, 1
-        inv_rhs = [[0] * (n + 1) + [b] for b in [1] + rhs]
-        for i, row in enumerate(inv_rhs):
-            row[i] = 1
-        basis = [width + i for i in range(n + 1)]
+    # the crash start: lambda_k, then a surplus or an artificial a row; the
+    # artificial of row j is width + j, and is never stored
+    k = min(range(m), key=lambda i: sum(not row[i] >= b
+                                        for row, b in zip(data, rhs)))
+    inv_rhs, basis = [[1] + [0] * n + [1]], [k]
+    for j, (row, b) in enumerate(zip(data, rhs), 1):
+        r = b - row[k]
+        s = -1 if r <= 0 else 1
+        basis.append(m + j - 1 if s < 0 else width + j)
+        line = [-s * row[k]] + [0] * n + [s * r]
+        line[j] = s
+        inv_rhs.append(line)
     cols = list(zip([1] * m, *data))    # the lambda columns of A
     d = 1
     bland = not all_int
@@ -237,8 +223,7 @@ def lp_solve(x: Vec, X) -> Optional[Vec]:
             break
         basic = set(basis)
         cost = chain((0 if i in basic else -sum(map(mul, u, a))
-                      for i, a in enumerate(cols)),
-                     (u[j] if s < 0 else -u[j] for j, s in enumerate(sur, 1)))
+                      for i, a in enumerate(cols)), u[1:-1])
         if bland:
             enter = next((j for j, c in enumerate(cost) if sign_of(c) < 0), -1)
         else:
@@ -251,8 +236,8 @@ def lp_solve(x: Vec, X) -> Optional[Vec]:
             a = cols[enter]
             t = [sum(map(mul, row, a)) for row in inv_rhs]  # M A_enter
         else:
-            j = enter - m + 1       # +-(column j of M)
-            t = [row[j] if sur[j - 1] > 0 else -row[j] for row in inv_rhs]
+            j = enter - m + 1       # -(column j of M)
+            t = [-row[j] for row in inv_rhs]
         leave = -1
         for i, (ti, row) in enumerate(zip(t, inv_rhs)):
             if sign_of(ti) <= 0:

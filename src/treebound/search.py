@@ -140,15 +140,8 @@ def verify_certificate(s: BilinearSystem, alpha, vectors: Sequence[Vec],
     _check_vectors(s, alpha, vectors)
     witnesses, hull = witnesses or {}, None
     for key, p in _queries(s, alpha, vectors):
-        terms = witnesses.get(key)
-        if terms is not None:
-            try:
-                lam = parse_lambda(terms, field)
-            except PARSE_FAULTS as exc:
-                raise ParseError(f"bad weight in wit {_wit_key(key)}: {exc}"
-                                 ) from None
-            if witness_holds(p, vectors, lam):
-                continue
+        if _holding_witness(key, p, vectors, witnesses, field):
+            continue
         if hull is None:
             hull = Hull(vectors)
         if not member_dominated_hull(p, hull):
@@ -160,28 +153,47 @@ def verify_certificate(s: BilinearSystem, alpha, vectors: Sequence[Vec],
 
 
 def with_witnesses(text: str, s: BilinearSystem, alpha,
-                   vectors: Sequence[Vec]) -> Optional[str]:
-    """The certificate file `text`, whose vectors are `vectors`, with its
-    wit lines replaced by one per query: `k:1` for the first X_k that
-    dominates the query, else the nonzero weights of its LP.  None when a
-    query lies outside conv_<=(X), so the certificate is invalid at alpha;
-    malformed vectors or alpha raise as in `verify_certificate`."""
-    _check_vectors(s, alpha, vectors)
+                   cert: Certificate) -> Optional[str]:
+    """The certificate file `text`, read as `cert`, with its wit lines
+    replaced by one per query: cert's own where it holds, else `k:1` for
+    the first X_k that dominates the query, else the nonzero weights of its
+    LP.  None when a query lies outside conv_<=(X), so the certificate is
+    invalid at alpha; malformed vectors, alpha or weights raise as in
+    `verify_certificate`."""
+    X, own = cert.vectors, cert.witnesses or {}
+    _check_vectors(s, alpha, X)
     lines = [line for line in text.splitlines()
              if line.split()[:1] != ["wit"]]
-    hull = Hull(vectors)
-    for key, p in _queries(s, alpha, vectors):
-        k = next((k for k, v in enumerate(vectors) if vec_leq(p, v)), None)
-        if k is not None:
-            lam = [(k, 1)]
-        else:
-            weights = lp_solve(p, hull)
-            if weights is None:
+    hull = Hull(X)
+    for key, p in _queries(s, alpha, X):
+        terms = _holding_witness(key, p, X, own, cert.field)
+        if terms is None:
+            k = next((k for k, v in enumerate(X) if vec_leq(p, v)), None)
+            # a dominating X_k is the witness lambda = e_k
+            lam = lp_solve(p, hull) if k is None else (0,) * k + (1,)
+            if lam is None:
                 return None
-            lam = [(k, w) for k, w in enumerate(weights) if w != 0]
+            terms = [(k, format_number(w)) for k, w in enumerate(lam)
+                     if w != 0]
         lines.append(f"wit {_wit_key(key)} "
-                     + " ".join(f"{k}:{format_number(w)}" for k, w in lam))
+                     + " ".join(f"{k}:{w}" for k, w in terms))
     return "\n".join(lines) + "\n"
+
+
+def _holding_witness(key, p: Vec, X: Sequence[Vec], witnesses: Mapping,
+                     field):
+    """The file's own terms for query `key` when they put p in conv_<=(X),
+    else None; a weight that does not parse is a ParseError."""
+    terms = witnesses.get(key)
+    if terms is not None:
+        try:
+            lam = parse_lambda(terms, field)
+        except PARSE_FAULTS as exc:
+            raise ParseError(f"bad weight in wit {_wit_key(key)}: {exc}"
+                             ) from None
+        if witness_holds(p, X, lam):
+            return terms
+    return None
 
 
 def _wit_key(key) -> str:

@@ -3,8 +3,9 @@
 `treebound.geometry.lp_solve` is a revised simplex: it keeps only the scaled
 basis inverse and prices the original columns.  This is the routine it
 replaced, which runs the same integer-preserving pivots on every entry of
-the (n+2) x (m+n+1) tableau, cost row included.  Both make the same pivots,
-so they must return the identical lambda tuple (`==`) on every query.
+the (n+2) x (m+n+1) tableau, cost row included.  Both start from the same
+crash basis, over Q and Q(alpha) alike, and make the same pivots, so they
+must return the identical lambda tuple (`==`) on every query.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ from treebound.numeric import AlgebraicNumber, Q, QONE, QZERO, invert, sign_of
 def lp_solve(x: Vec, X: Sequence[Vec]) -> Optional[Vec]:
     """lambda >= 0 with sum lambda = 1 and sum lambda_i X_i >= x, or None.
 
-    Phase 1 of the simplex, on all-int data from the crash basis of
-    `lp_solve`, else from the artificial basis.  The pivots are
-    integer-preserving (Edmonds 1967, Bareiss 1968): the tableau holds every
-    entry times d, the last pivot, and each pivot divides exactly by the
-    previous d.  A row whose entries all have rational values is scaled to
+    Phase 1 of the simplex from the crash basis of `lp_solve`, over Q and
+    Q(alpha) alike.  The pivots are integer-preserving (Edmonds 1967,
+    Bareiss 1968): the tableau holds every entry times d, the last pivot,
+    and each pivot divides exactly by the previous d.  A row whose entries all have rational values is scaled to
     ints by its lcm denominator, so it stays in ints with no gcd work; over
     Q(alpha) the same loop multiplies by one inverse of d per pivot.
 
@@ -53,30 +53,24 @@ def lp_solve(x: Vec, X: Sequence[Vec]) -> Optional[Vec]:
         row = data[:-1] + [zero] * n + data[-1:]
         row[m + j] = -one
         rows.append(row)
-    if all_int:
-        # lambda_k for the X_k short of x in the fewest rows, and the
-        # surplus of each row X_k covers, that row negated so its pivot is 1
-        k = min(range(m), key=lambda i: sum(r[-1] > r[i] for r in rows[1:]))
-        covered = [j for j in range(1, n + 1) if rows[j][-1] <= rows[j][k]]
-        for j in covered:
-            rows[j] = [-a for a in rows[j]]
-    else:
-        for j in range(1, n + 1):
-            if sign_of(rows[j][-1]) < 0:    # rhs >= 0 for the artificial basis
-                rows[j] = [-a for a in rows[j]]
+    # lambda_k for the X_k short of x in the fewest rows, and the surplus of
+    # each row X_k covers, that row negated so its pivot is 1
+    k = min(range(m), key=lambda i: sum(not r[i] >= r[-1] for r in rows[1:]))
+    covered = [j for j in range(1, n + 1) if rows[j][-1] <= rows[j][k]]
+    for j in covered:
+        rows[j] = [-a for a in rows[j]]
     basis = [width + i for i in range(n + 1)]   # artificials, never stored
     cost = [-sum(col) for col in zip(*rows)]    # phase-1 reduced costs, -w
     d = 1
-    if all_int:
-        # the crash start `lp_solve` writes down, reached here by pivots on
-        # 1, so d stays 1 and every artificial left in the basis is >= 0
-        for leave, enter in [(0, k)] + [(j, m + j - 1) for j in covered]:
-            prow = rows[leave]
-            for i, row in enumerate(rows):
-                if i != leave:
-                    rows[i] = _eliminate(row, prow, enter, d, d, True)
-            cost = _eliminate(cost, prow, enter, d, d, True)
-            basis[leave] = enter
+    # the crash start `lp_solve` writes down, reached here by pivots on 1,
+    # so d stays 1 and every artificial left in the basis is >= 0
+    for leave, enter in [(0, k)] + [(j, m + j - 1) for j in covered]:
+        prow = rows[leave]
+        for i, row in enumerate(rows):
+            if i != leave:
+                rows[i] = _eliminate(row, prow, enter, d, d, all_int)
+        cost = _eliminate(cost, prow, enter, d, d, all_int)
+        basis[leave] = enter
     bland = not all_int
     while sign_of(cost[-1]) != 0:
         if bland:

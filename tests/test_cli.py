@@ -154,11 +154,11 @@ def test_matchings5_bound_and_verify_ask_fewer_lps(tmp_path, monkeypatch,
     capsys.readouterr()
 
 
-def test_matchings5_bound_takes_few_pivots(tmp_path, monkeypatch, capsys):
-    # on int rows phase 1 starts from the best single vector and a surplus
-    # in each row it covers; from the all-artificial basis the same 310 LPs
-    # took 3,662 pivots
+@pytest.fixture
+def asked(monkeypatch):
+    """Counts of the membership LPs asked and the simplex pivots taken."""
     asked = {"lp": 0, "pivot": 0}
+    lp_solve, _pivot = geometry.lp_solve, geometry._pivot
 
     def solve(x, X):
         asked["lp"] += 1
@@ -168,12 +168,30 @@ def test_matchings5_bound_takes_few_pivots(tmp_path, monkeypatch, capsys):
         asked["pivot"] += 1
         return _pivot(*args)
 
-    lp_solve, _pivot = geometry.lp_solve, geometry._pivot
     monkeypatch.setattr(geometry, "lp_solve", solve)
+    monkeypatch.setattr(search, "lp_solve", solve)
     monkeypatch.setattr(geometry, "_pivot", pivot)
+    return asked
+
+
+def test_matchings5_bound_takes_few_pivots(tmp_path, asked, capsys):
+    # on int rows phase 1 starts from the best single vector and a surplus
+    # in each row it covers; from the all-artificial basis the same 310 LPs
+    # took 3,662 pivots
     assert main(["bound", data("matchings5.system"), "--alpha", "13/10",
                  "--emit-certificate", str(tmp_path / "m5.cert")]) == 0
     assert asked["lp"] == 310 and asked["pivot"] < 2000
+    capsys.readouterr()
+
+
+def test_matchings3_verify_takes_few_pivots(tmp_path, asked, capsys):
+    # over Q(alpha) too phase 1 starts from the best single vector: the 29
+    # LPs of a witness-free matchings3 verify took 254 pivots from the
+    # all-artificial basis
+    stripped = tmp_path / "stripped.cert"
+    stripped.write_text(strip_witnesses(fixreg.read_data("matchings3.cert")))
+    assert main(["verify", data("matchings3.system"), str(stripped)]) == 0
+    assert asked["lp"] == 29 and asked["pivot"] < 150
     capsys.readouterr()
 
 
@@ -234,15 +252,19 @@ def test_bound_verify_flag(capsys):
 
 @pytest.mark.parametrize("name", ["indep_dom", "perfect_codes",
                                   "min_perfect_dom", "matchings3",
-                                  "total_perfect_dom"])
-def test_bound_verify_emits_the_bundled_witnesses(tmp_path, capsys, name):
+                                  "total_perfect_dom", "matchings4",
+                                  "max_matchings"])
+def test_bound_verify_emits_the_bundled_witnesses(tmp_path, asked, capsys,
+                                                  name):
     # the bundled certificates were written by this command from their
     # witness-free lines: it reproduces them byte for byte, and rewrites a
-    # file that already has witnesses to the same bytes
+    # file that already has witnesses to the same bytes, keeping its own
+    # wit lines without asking an LP
     bundled = fixreg.read_data(f"{name}.cert")
     stripped = tmp_path / "stripped.cert"
     stripped.write_text(strip_witnesses(bundled))
     for source in (stripped, data(f"{name}.cert")):
+        asked["lp"] = 0
         out = tmp_path / "out.cert"
         assert main(["bound", data(f"{name}.system"),
                      "--alpha", fixtures.BY_NAME[name].alpha_spec,
@@ -251,21 +273,13 @@ def test_bound_verify_emits_the_bundled_witnesses(tmp_path, capsys, name):
         assert out.read_text() == bundled
         assert capsys.readouterr().out.endswith(
             f"certificate with witnesses written to {out}\n")
+    assert asked["lp"] == 0
 
 
-def test_bound_verify_emit_asks_each_lp_once(tmp_path, monkeypatch, capsys):
+def test_bound_verify_emit_asks_each_lp_once(tmp_path, asked, capsys):
     # the witnesses are written first and the verify only checks them: on a
     # witness-free min_perfect_dom certificate the writer's 7 LPs are all,
     # where verifying first asked 6 more
-    asked = []
-
-    def solve(x, X):
-        asked.append(x)
-        return lp_solve(x, X)
-
-    lp_solve = geometry.lp_solve
-    monkeypatch.setattr(geometry, "lp_solve", solve)
-    monkeypatch.setattr(search, "lp_solve", solve)
     bundled = fixreg.read_data("min_perfect_dom.cert")
     stripped = tmp_path / "stripped.cert"
     stripped.write_text(strip_witnesses(bundled))
@@ -274,7 +288,7 @@ def test_bound_verify_emit_asks_each_lp_once(tmp_path, monkeypatch, capsys):
                  "--alpha", fixtures.BY_NAME["min_perfect_dom"].alpha_spec,
                  "--verify", str(stripped),
                  "--emit-certificate", str(out)]) == 0
-    assert out.read_text() == bundled and len(asked) == 7
+    assert out.read_text() == bundled and asked["lp"] == 7
     capsys.readouterr()
 
 
@@ -292,8 +306,8 @@ def test_bound_verify_emits_nothing_for_an_invalid_certificate(tmp_path,
 
 def test_bound_verify_emit_reads_the_certificates_own_weights(tmp_path,
                                                               capsys):
-    # the written witnesses replace CERT's, but a CERT weight that does not
-    # parse is still a parse error, and nothing is written
+    # a CERT weight that does not parse is a parse error, as in verify, and
+    # nothing is written
     t = tmp_path / "bad.cert"
     t.write_text(strip_witnesses(fixreg.read_data("indep_dom.cert"))
                  + "wit v0 0:x\n")

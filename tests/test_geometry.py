@@ -88,7 +88,7 @@ def test_lp_exactness_rational_vs_field(sqrt2_field):
 
 
 def test_lp_negative_rhs_rows():
-    # a coordinate with x_j < 0 is met by any lambda; rows are flipped
+    # a coordinate with x_j < 0 is met by any lambda: its surplus starts basic
     X = [(Q(1), Q(0)), (Q(0), Q(2))]
     lam = lp_solve((Q(-1), Q(1)), X)
     assert lam is not None
@@ -235,15 +235,15 @@ def test_lp_embedded_rational_query_takes_the_same_path(sqrt2_field, query):
 
 
 @st.composite
-def crash_queries(draw):
+def crash_queries(draw, entry=sparse, shifts=(Q(-1, 2), Q(-3))):
     """x near a vector of X: equal to it in some coordinates (a zero
     residual at the start), above it or negative in others; X drawn with
     repeats from a small pool, so the counts of short rows tie."""
     n = draw(st.integers(1, 6))
-    vec = st.tuples(*([sparse] * n))
+    vec = st.tuples(*([entry] * n))
     pool = draw(st.lists(vec, min_size=1, max_size=5))
     X = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
-    shift = st.sampled_from([Q(0), Q(0), Q(1, 3), Q(1), Q(-1, 2), Q(-3)])
+    shift = st.sampled_from([Q(0), Q(0), Q(1, 3), Q(1), *shifts])
     return tuple(a + draw(shift) for a in draw(st.sampled_from(X))), X
 
 
@@ -321,13 +321,28 @@ def test_lp_pivots_as_the_tableau_routine_sqrt2(sqrt2_field, data):
 
 
 def sqrt2_query(root):
+    # the crash queries' shifts make some x_j negative and irrational
     el = lambda ab: ab[0] + ab[1] * root if ab[1] else ab[0]
     b = st.sampled_from([0, 0, 0, 1, Q(1, 2)]).map(Q)
     degenerate = st.builds(lambda a, b: a + b * root if b else a, sparse, b)
     return st.one_of(
         queries(sqrt2_entries()).map(lambda q: (
             tuple(el(c) for c in q[0]), [tuple(el(c) for c in v) for v in q[1]])),
-        hard_queries(degenerate))
+        hard_queries(degenerate),
+        crash_queries(degenerate, (Q(-1, 2), 1 - root, -2 * root)))
+
+
+def test_lp_negative_irrational_coordinate(sqrt2_field):
+    # x_0 < 0 and irrational: its surplus starts basic, as in any row X_k
+    # covers; the crash queries of sqrt2_query draw such an x only now and
+    # then
+    root = sqrt2_field.alpha()
+    X = [(Q(1), root, Q(0)), (Q(0), Q(1), root), (root, Q(0), Q(1))]
+    for x in [(1 - root, Q(6, 5), Q(1, 2)), (root - 2, Q(6, 5), Q(2, 3)),
+              (1 - root, Q(6, 5), Q(4, 5)), (-root, Q(2), Q(1))]:
+        lam = lp_solve(x, X)
+        assert lam == tableau_lp(x, X)
+        assert (lam is not None) == reference_member(x, X)
 
 
 def test_lp_replays_matchings3_verify_as_the_tableau_routine(fx, monkeypatch):
