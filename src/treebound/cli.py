@@ -1,13 +1,15 @@
 """Command-line front end: compile, bound, verify, oracle, spectral, fixtures.
 
 Exit codes: 0 success, 1 invalid certificate / failed bound or audit,
-2 usage or parse errors.  Reports print exact values first, then decimal
-brackets, then the claim the fixture carries.
+2 usage or parse errors, 141 (as for SIGPIPE) when the reader of stdout has
+gone.  Reports print exact values first, then decimal brackets, then the
+claim the fixture carries.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 from pathlib import Path
@@ -44,7 +46,7 @@ from .search import (
     parse_certificate,
     upper_bound_report,
     verify_certificate,
-    with_witnesses,
+    witnessed_text,
 )
 from .spectral import load_gadget, lower_bound, lower_bound_from_matrix, SquareMatrix
 from .system import format_system, load_system, trim
@@ -127,19 +129,8 @@ def cmd_bound(args) -> int:
     alpha, nf = parse_alpha_spec(args.alpha)
     if args.verify:
         text = read_text(args.verify)
-        cert, witnessed = parse_certificate(text), None
-        if args.emit_certificate:
-            # witnesses first, keeping CERT's own where they hold, so the
-            # verify of the written text asks no LP
-            witnessed = with_witnesses(text, system, alpha, cert)
-            if witnessed is not None:
-                cert = parse_certificate(witnessed)
-        rc = _verify_and_report(system, cert, alpha=alpha)
-        if rc == 0 and witnessed is not None:
-            _write_out(witnessed, args.emit_certificate)
-            print(f"certificate with witnesses written to "
-                  f"{args.emit_certificate}")
-        return rc
+        return _verify_and_report(system, parse_certificate(text), alpha,
+                                  emit=(text, args.emit_certificate))
     seeds = ()
     if args.seed_file:
         seed_cert = load_certificate(args.seed_file)
@@ -173,7 +164,10 @@ def cmd_bound(args) -> int:
     return 1
 
 
-def _verify_and_report(system, cert, alpha=None, claim=None) -> int:
+def _verify_and_report(system, cert, alpha=None, claim=None,
+                       emit=(None, None)) -> int:
+    """Verify cert and print its report; a valid one read from the text
+    emit[0] is written with every query's wit line to the path emit[1]."""
     alpha = cert.alpha if alpha is None else alpha
     outcome = verify_certificate(system, alpha, cert.vectors, cert.witnesses,
                                  cert.field)
@@ -184,6 +178,10 @@ def _verify_and_report(system, cert, alpha=None, claim=None) -> int:
                   "using the derived value")
         print(upper_bound_report(alpha, outcome.C, len(cert.vectors),
                                  citation=claim))
+        text, path = emit
+        if path:
+            _write_out(witnessed_text(text, outcome.wits), path)
+            print(f"certificate with witnesses written to {path}")
         return 0
     print("certificate INVALID")
     kind = "seed vector V0/alpha" if outcome.kind == "seed" else "product"
@@ -381,12 +379,18 @@ def main(argv=None) -> int:
         ap.error(f"the shape route takes --k <= {SHAPE_CAP}; "
                  "use --levels for larger k")
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:         # `| head`: devnull takes what is left
+        sys.stdout = open(os.devnull, "w")
+        return 141
     except OSError as exc:
-        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        print(f"cannot write {exc.filename or 'output'}: {exc.strerror}",
+              file=sys.stderr)
         return 2
     except TreeboundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,6 +53,10 @@ class LevelBudgetExceeded(TreeboundError):
     """A per-level vector cardinality cap was hit while expanding levels."""
 
 
+class EvidenceRejected(TreeboundError):
+    """The search kernel's evidence for a query failed the checker."""
+
+
 # -- automaton / file formats -----------------------------------------------
 
 class ParseError(TreeboundError):

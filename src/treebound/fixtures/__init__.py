@@ -51,7 +51,6 @@ FIXTURES: Tuple[Fixture, ...] = (
         alpha_spec="nthroot(939524096,85)",
         claim="count(n) <= C*alpha^n with alpha = (2^27*7)^(1/85) ~ 1.275157, "
               "sharp",
-        slow_search=True,  # the unseeded search is a ten-minute run
     ),
     Fixture(
         name="perfect_codes",

@@ -7,8 +7,8 @@ coefficient type (rationals or elements of one algebraic number field): it
 keeps only the scaled basis inverse and the right-hand side, and prices the
 original columns against it.  It starts from the single vector of X that
 covers x in the most coordinates, a surplus in each row it covers.  On top
-of it sit membership and the reduction of a vector set to a minimal subset
-with the same dominated hull.
+of it sit membership, answered with evidence, and the reduction of a vector
+set to a minimal subset with the same dominated hull.
 """
 
 from __future__ import annotations
@@ -16,12 +16,20 @@ from __future__ import annotations
 from itertools import chain
 from math import lcm
 from operator import gt, le, mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import DimensionMismatch
-from .numeric import AlgebraicNumber, QZERO, invert, sign_of
+from .numeric import AlgebraicNumber, invert, sign_of
 
 Vec = Tuple  # coordinates: ints, Fractions or AlgebraicNumbers
+
+
+class Ray(tuple):
+    """A vector y >= 0 with y.x > y.X_k for every X_k: evidence that x lies
+    outside conv_<=(X), and so false as a truth value."""
+
+    def __bool__(self):
+        return False
 
 
 # -- small vector helpers ----------------------------------------------------
@@ -68,10 +76,10 @@ class Hull:
     element.  The raw columns serve rows that hold a field element.  A query
     scales only its own coordinates against these (`lp_solve`), and the
     domination and escape tests of `member_dominated_hull` compare ints.
-    The hull remembers the points shown inside it (`admit`): `rows` pairs
-    the int rows of X, and then of each admitted rational point, with their
-    points, so the domination test also settles any query that such a
-    point dominates; any other admitted point is an exact key in `shown`.
+    The hull remembers the points shown inside it (`admit`): `rows` holds
+    the int rows of X, then of each admitted rational point, with point and
+    weights, so the domination test also settles any query such a point
+    dominates; `shown` maps any other admitted point to its weights.
     """
 
     __slots__ = ("vectors", "dim", "scales", "raw", "cols", "tops", "rows",
@@ -103,25 +111,26 @@ class Hull:
         """Column maxima, and the int rows when every column is int."""
         self.tops = [None if c is None else max(c) for c in self.cols]
         self.rows = (None if None in self.scales
-                     else list(zip(zip(*self.cols), self.vectors)))
+                     else [(row, v, ((k, 1),)) for k, (row, v) in
+                           enumerate(zip(zip(*self.cols), self.vectors))])
         self.admitted = []
-        self.shown = set()
+        self.shown = {}
 
-    def admit(self, p: Vec):
-        """Record p, already shown to lie in conv_<=(X), in `admitted`, so
-        that a later query needs no LP.  On a hull of rationals, p's row
-        floor(p_j L_j) settles every x <= p, which is inside too; there a
-        row scan is cheap and hashing Fractions is not.  Otherwise p becomes
-        an exact key, which settles p itself without the signs a domination
-        test asks."""
+    def admit(self, p: Vec, lam=True):
+        """Record p, shown in conv_<=(X) by the weights lam (True: by a
+        smaller hull), so that a later query needs no LP and gets lam.  On a
+        hull of rationals, p's row floor(p_j L_j) settles every x <= p,
+        which is inside too; there a row scan is cheap and hashing Fractions
+        is not.  Otherwise p becomes an exact key, which settles p itself
+        without the signs a domination test asks."""
         self.admitted.append(p)
         vals = None if self.rows is None else [_rational(a) for a in p]
         if vals is None or None in vals:
-            self.shown.add(p)
+            self.shown[p] = lam
         else:
             self.rows.append((tuple(v.numerator * scale // v.denominator
                                     for v, scale in zip(vals, self.scales)),
-                              p))
+                              p, lam))
 
     def subset(self, keep: Sequence[int]) -> "Hull":
         """The hull of the vectors numbered `keep`, sliced from this one,
@@ -149,8 +158,9 @@ def _hull(x: Vec, X) -> Hull:
 
 # -- conv_<= membership LP ---------------------------------------------------
 
-def lp_solve(x: Vec, X) -> Optional[Vec]:
-    """lambda >= 0 with sum lambda = 1 and sum lambda_i X_i >= x, or None.
+def lp_solve(x: Vec, X):
+    """The weights (k, lambda_k), lambda_k != 0, in order of k, of some
+    lambda >= 0 with sum lambda = 1 and sum lambda_k X_k >= x; or a Ray.
 
     X is a `Hull` or a plain sequence of vectors, prepared here.
 
@@ -182,17 +192,20 @@ def lp_solve(x: Vec, X) -> Optional[Vec]:
     negative reduced cost) prices field data, and any pivot after a
     degenerate one (pivot row rhs 0) until the next nondegenerate one; a
     cycle is a run of degenerate pivots, and under Bland's rule no such run
-    repeats a basis, so phase 1 terminates.
+    repeats a basis, so phase 1 terminates.  At an infeasible optimum the
+    reduced costs give the Farkas ray y_j = u_j f_j >= 0, f_j row j's scale
+    (1 on a field row): y.X_k <= -u_0 < y.x = w - u_0 (Applegate, Cook,
+    Dash & Espinoza 2007).
     """
     hull = _hull(x, X)
     m, n = len(hull.vectors), len(x)
     width = m + n                   # lambda columns, then one surplus each
-    data, rhs = [], []              # rows 1..n of A and of b
+    data, rhs, fs = [], [], []      # rows 1..n of A and of b, row scales
     all_int = True                  # no field row: Dantzig pricing
     for a, scale, col, raw in zip(x, hull.scales, hull.cols, hull.raw):
         v = _rational(a)
         if scale is None or v is None:
-            row, b = raw, a
+            row, b, full = raw, a, 1
             all_int = False
         else:
             full = lcm(scale, v.denominator)
@@ -201,6 +214,7 @@ def lp_solve(x: Vec, X) -> Optional[Vec]:
             b = v.numerator * (full // v.denominator)
         data.append(row)
         rhs.append(b)
+        fs.append(full)
     # the crash start: lambda_k, then a surplus or an artificial a row; the
     # artificial of row j is width + j, and is never stored
     k = min(range(m), key=lambda i: sum(not row[i] >= b
@@ -230,8 +244,8 @@ def lp_solve(x: Vec, X) -> Optional[Vec]:
             cost = list(cost)
             low = min(cost)
             enter = cost.index(low) if low < 0 else -1
-        if enter < 0:
-            return None             # optimal with artificials left: infeasible
+        if enter < 0:               # optimal with artificials left
+            return Ray(a if f == 1 else a * f for a, f in zip(u[1:], fs))
         if enter < m:
             a = cols[enter]
             t = [sum(map(mul, row, a)) for row in inv_rhs]  # M A_enter
@@ -252,12 +266,9 @@ def lp_solve(x: Vec, X) -> Optional[Vec]:
             raise ArithmeticError("phase 1 cannot be unbounded")
         bland = not all_int or sign_of(inv_rhs[leave][-1]) == 0
         d = _pivot(inv_rhs, basis, t, leave, enter, d, all_int)
-    lam = [QZERO] * m
     inv = invert(d)
-    for row, b in zip(inv_rhs, basis):
-        if b < m:
-            lam[b] = row[-1] * inv
-    return tuple(lam)
+    return tuple(sorted((b, row[-1] * inv) for row, b in zip(inv_rhs, basis)
+                        if b < m and row[-1] != 0))
 
 
 def _pivot(rows, basis, t, leave, enter, d, ints):
@@ -290,14 +301,17 @@ def _pivot(rows, basis, t, leave, enter, d, ints):
 
 # -- dominated convex hull -----------------------------------------------------
 
-def member_dominated_hull(x: Vec, X) -> bool:
-    """True iff exists lambda >= 0, sum lambda = 1, sum lambda_i X_i >= x.
+def member_dominated_hull(x: Vec, X):
+    """Whether some lambda >= 0, sum lambda = 1, has sum lambda_i X_i >= x,
+    answered by evidence: the (k, lambda_k) weights (True for a point
+    admitted without them), or a Ray, which is false.
 
     X is a nonempty `Hull` or sequence of nonnegative vectors; x must be
     nonnegative.  Two exact tests settle most queries without an LP: some
-    X_i, or some point the hull has admitted, dominating x, and some x_j
-    above every X_ij.  A hull admits each x that its LP shows inside, and
-    on field data each x that it answers True.
+    X_k (weights ((k, 1),)) or admitted point dominating x, and some x_j
+    above every X_kj (the ray that is 1 at every such j on int rows, at
+    the first on field rows).  A hull admits each x that its LP shows
+    inside, and on field data each x that it answers True.
     """
     hull = _hull(x, X)
     vals = [_rational(a) for a in x]
@@ -310,26 +324,31 @@ def member_dominated_hull(x: Vec, X) -> bool:
                for v, scale in zip(vals, hull.scales)]
         need = [-(-v.numerator * scale // v.denominator)
                 for v, scale in zip(vals, hull.scales)]
+        # only an escape pays a second scan, to build its ray
         if any(map(gt, need, hull.tops)):
-            return False
-        if any(all(map(le, low, row))
-               and (all(map(le, need, row)) or vec_leq(x, p))
-               for row, p in hull.rows):
-            return True
+            return Ray(map(gt, need, hull.tops))
+        for row, p, lam in hull.rows:
+            if all(map(le, low, row)) and (all(map(le, need, row))
+                                           or vec_leq(x, p)):
+                return lam
     else:
         # a field entry: a point shown inside before, else ask the signs,
         # which refine the field, in the same order as ever
-        if x in hull.shown:
-            return True
-        if any(vec_leq(x, v) for v in hull.vectors):
-            hull.admit(x)
-            return True
-        if not all(any(a <= b for b in col) for a, col in zip(x, hull.raw)):
-            return False
-    if lp_solve(x, hull) is None:
-        return False
-    hull.admit(x)
-    return True
+        lam = hull.shown.get(x)
+        if lam is not None:
+            return lam
+        for k, v in enumerate(hull.vectors):
+            if vec_leq(x, v):
+                lam = ((k, 1),)
+                hull.admit(x, lam)
+                return lam
+        for j, (a, col) in enumerate(zip(x, hull.raw)):
+            if not any(a <= b for b in col):
+                return Ray(int(i == j) for i in range(len(x)))
+    lam = lp_solve(x, hull)
+    if lam:
+        hull.admit(x, lam)
+    return lam
 
 
 def hull_reduce(X: Sequence[Vec]) -> List[Vec]:

@@ -11,18 +11,21 @@ for each escaping product B(x, y), the orbit of x (resp. y) under the fixed
 other factor, and when three consecutive orbit points have exactly
 proportional consecutive differences with ratio r in (0, 1) it also inserts
 the extrapolated limit point.  Inserting any vector is sound: validity is
-decided solely by the closure conditions, which the verifier re-checks
-independently, and a wrong guess merely fails to close.
+decided solely by the closure conditions, whose every answer the verifier
+takes only once `check` has accepted its evidence, and a wrong guess merely
+fails to close.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as data_field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .check import parse_lambda, witness_holds
+from .check import (combination, dominates, parse_lambda, ray_holds,
+                    witness_holds)
 from .errors import (
     DimensionMismatch,
+    EvidenceRejected,
     LevelBudgetExceeded,
     NonPositiveScale,
     ParseError,
@@ -31,10 +34,8 @@ from .geometry import (
     Hull,
     Vec,
     hull_reduce,
-    lp_solve,
     member_dominated_hull,
     vec_is_nonnegative,
-    vec_leq,
     vec_scale,
     vec_sub,
 )
@@ -92,6 +93,9 @@ class BudgetExhausted:
 @dataclass(frozen=True)
 class Valid:
     C: object
+    # evidence, not part of the verdict: every query's key and (k, lambda_k)
+    # terms, lambda_k the file's token or the kernel's number
+    wits: Tuple = data_field(default=(), compare=False)
 
 
 @dataclass(frozen=True)
@@ -99,6 +103,7 @@ class Invalid:
     witness: Vec
     kind: str                          # 'seed' or 'product'
     pair: Optional[Tuple[Vec, Vec]] = None
+    ray: Optional[Vec] = data_field(default=None, compare=False)
 
 
 def _queries(s: BilinearSystem, alpha, vectors: Sequence[Vec]):
@@ -111,9 +116,19 @@ def _queries(s: BilinearSystem, alpha, vectors: Sequence[Vec]):
             yield (i, j), apply(s, x, y)
 
 
-def _check_vectors(s: BilinearSystem, alpha, vectors: Sequence[Vec]):
-    """Raise unless the vectors are nonempty, nonnegative and of the
-    system's dimension and alpha is positive."""
+def verify_certificate(s: BilinearSystem, alpha, vectors: Sequence[Vec],
+                       witnesses: Optional[Mapping] = None,
+                       field: Optional[NumberField] = None):
+    """Independent check of the two closure conditions; shares no search state.
+
+    Each query is settled by evidence that `check` accepts: its witness
+    (lambda read in `field`) when one is given and holds, else the weights
+    or ray of `member_dominated_hull` against one Hull of the vectors,
+    built at the first such query; evidence that fails raises
+    EvidenceRejected.  Valid(C) certifies count(n) <= C*alpha^n for all n
+    and carries every query's wit terms; Invalid carries the offending
+    vector or escaping product and its ray.
+    """
     if not vectors:
         raise ValueError("empty certificate")
     for v in vectors:
@@ -123,77 +138,36 @@ def _check_vectors(s: BilinearSystem, alpha, vectors: Sequence[Vec]):
             raise ValueError("certificate vectors must be nonnegative")
     if sign_of(alpha) <= 0:
         raise NonPositiveScale("alpha must be positive")
-
-
-def verify_certificate(s: BilinearSystem, alpha, vectors: Sequence[Vec],
-                       witnesses: Optional[Mapping] = None,
-                       field: Optional[NumberField] = None):
-    """Independent check of the two closure conditions; shares no search state.
-
-    Each query is settled by its witness (`check.witness_holds`, lambda read
-    in `field`) when one is given and holds, and otherwise by the exact LP
-    against one Hull of the vectors, built at the first such query.  So a
-    witness never changes the verdict, only how it is reached.  Valid(C)
-    certifies count(n) <= C*alpha^n for all n; Invalid carries the
-    offending vector or escaping product.
-    """
-    _check_vectors(s, alpha, vectors)
-    witnesses, hull = witnesses or {}, None
+    witnesses, hull, wits, checked = witnesses or {}, None, [], {}
     for key, p in _queries(s, alpha, vectors):
-        if _holding_witness(key, p, vectors, witnesses, field):
-            continue
-        if hull is None:
-            hull = Hull(vectors)
-        if not member_dominated_hull(p, hull):
-            if key == "v0":
-                return Invalid(p, "seed")
-            i, j = key
-            return Invalid(p, "product", (vectors[i], vectors[j]))
-    return Valid(level_max(s, vectors))
-
-
-def with_witnesses(text: str, s: BilinearSystem, alpha,
-                   cert: Certificate) -> Optional[str]:
-    """The certificate file `text`, read as `cert`, with its wit lines
-    replaced by one per query: cert's own where it holds, else `k:1` for
-    the first X_k that dominates the query, else the nonzero weights of its
-    LP.  None when a query lies outside conv_<=(X), so the certificate is
-    invalid at alpha; malformed vectors, alpha or weights raise as in
-    `verify_certificate`."""
-    X, own = cert.vectors, cert.witnesses or {}
-    _check_vectors(s, alpha, X)
-    lines = [line for line in text.splitlines()
-             if line.split()[:1] != ["wit"]]
-    hull = Hull(X)
-    for key, p in _queries(s, alpha, X):
-        terms = _holding_witness(key, p, X, own, cert.field)
-        if terms is None:
-            k = next((k for k, v in enumerate(X) if vec_leq(p, v)), None)
-            # a dominating X_k is the witness lambda = e_k
-            lam = lp_solve(p, hull) if k is None else (0,) * k + (1,)
-            if lam is None:
-                return None
-            terms = [(k, format_number(w)) for k, w in enumerate(lam)
-                     if w != 0]
-        lines.append(f"wit {_wit_key(key)} "
-                     + " ".join(f"{k}:{w}" for k, w in terms))
-    return "\n".join(lines) + "\n"
-
-
-def _holding_witness(key, p: Vec, X: Sequence[Vec], witnesses: Mapping,
-                     field):
-    """The file's own terms for query `key` when they put p in conv_<=(X),
-    else None; a weight that does not parse is a ParseError."""
-    terms = witnesses.get(key)
-    if terms is not None:
-        try:
-            lam = parse_lambda(terms, field)
-        except PARSE_FAULTS as exc:
-            raise ParseError(f"bad weight in wit {_wit_key(key)}: {exc}"
-                             ) from None
-        if witness_holds(p, X, lam):
-            return terms
-    return None
+        terms = witnesses.get(key)
+        if terms is not None:
+            try:
+                lam = parse_lambda(terms, field)
+            except PARSE_FAULTS as exc:
+                raise ParseError(f"bad weight in wit {_wit_key(key)}: {exc}"
+                                 ) from None
+        if terms is None or not witness_holds(p, vectors, lam):
+            if hull is None:
+                hull = Hull(vectors)
+            terms = member_dominated_hull(p, hull)
+            if not terms:
+                if not ray_holds(p, vectors, terms):
+                    raise EvidenceRejected(f"the ray for {_wit_key(key)} "
+                                           "does not separate it")
+                pair = (None if key == "v0"
+                        else (vectors[key[0]], vectors[key[1]]))
+                return Invalid(p, "product" if pair else "seed", pair, terms)
+            # the hull hands an admitted point's weights back for each query
+            # that point dominates: `checked` keeps the point they give
+            q = checked.get(terms)
+            if q is None:
+                q = checked[terms] = combination(vectors, terms)
+            if q is None or not dominates(q, p):
+                raise EvidenceRejected(f"the weights for {_wit_key(key)} "
+                                       "do not put it inside")
+        wits.append((key, terms))
+    return Valid(level_max(s, vectors), tuple(wits))
 
 
 def _wit_key(key) -> str:
@@ -376,8 +350,10 @@ def upper_bound_report(alpha, C, vectors: int,
 # Witness indices are 0-based and count vec lines in file order; a term k:l
 # gives X_k the weight l, a number in the file's own syntax, and the terms
 # of one witness sum to 1.  `bound SYSTEM --alpha A --verify CERT
-# --emit-certificate OUT` writes CERT's other lines followed by one wit
-# line per query: k:1 when X_k dominates it, else at most dim + 1 LP terms.
+# --emit-certificate OUT` writes CERT's other lines followed by the wit
+# line of every query that its verify checked: CERT's own where it holds,
+# else k:1 when X_k dominates the query, else the weights of the admitted
+# point that dominates it or of its LP, at most dim + 1 terms.
 
 
 def format_certificate(cert: Certificate) -> str:
@@ -393,6 +369,17 @@ def format_certificate(cert: Certificate) -> str:
         lines.append("vec " + " ".join(format_number(c) for c in v))
     if cert.C is not None:
         lines.append("C " + format_number(cert.C))
+    return "\n".join(lines) + "\n"
+
+
+def witnessed_text(text: str, wits) -> str:
+    """The certificate file `text` with its wit lines replaced by one line
+    per (key, terms) pair of `wits`, as `Valid.wits` holds them."""
+    lines = [line for line in text.splitlines()
+             if line.split()[:1] != ["wit"]]
+    lines += [f"wit {_wit_key(key)} " + " ".join(
+        f"{k}:{w if isinstance(w, str) else format_number(w)}"
+        for k, w in terms) for key, terms in wits]
     return "\n".join(lines) + "\n"
 
 

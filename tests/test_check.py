@@ -1,9 +1,12 @@
-"""The witness checker, and the verifier that tries a witness before its LP.
+"""The certificate checker, and the verifier that takes no verdict it has
+not checked.
 
 A witness either proves its query inside conv_<=(X) by mul, add and sign,
-or the verifier asks its LP: so whatever the witnesses say, correct,
-missing or tampered, the verdict is the LP's, which the general simplex of
-`simplex_reference` gives independently here.
+or the verifier asks the search's kernel, whose weights or separating ray
+the checker must accept in turn: so whatever the witnesses say, correct,
+missing or tampered, the verdict is the one the general simplex of
+`simplex_reference` gives independently here, and a kernel that lies
+raises EvidenceRejected instead of changing it.
 """
 
 from unittest import mock
@@ -11,13 +14,20 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import treebound.geometry as geometry
 import treebound.search as search
 from simplex_reference import LPProblem, reference_lambda
 from simplex_reference import lp_solve as reference_lp
-from treebound.check import parse_lambda, witness_holds
-from treebound.geometry import vec_scale
+from treebound.check import parse_lambda, ray_holds, witness_holds
+from treebound.errors import EvidenceRejected
+from treebound.geometry import Hull, Ray, vec_scale
 from treebound.numeric import Q, format_number, invert, sign_of
-from treebound.search import Invalid, Valid, verify_certificate
+from treebound.search import (
+    Invalid,
+    Valid,
+    find_certificate,
+    verify_certificate,
+)
 from treebound.system import BilinearSystem, apply, level_max
 
 X2 = [(Q(1), Q(0)), (Q(0), Q(1)), (Q(1, 2), Q(1, 2))]
@@ -38,6 +48,18 @@ HALF, ONE = (Q(1, 2), Q(1, 2)), (Q(1), Q(1))
 ])
 def test_witness_holds_iff_all_three_conditions_hold(p, X, terms, ok):
     assert witness_holds(p, X, parse_lambda(terms, None)) is ok
+
+
+@pytest.mark.parametrize("p,X,y,ok", [
+    (ONE, X2, (1, 1), True),                    # y.X_k = 1 < 2 = y.p
+    ((Q(1), Q(2)), X2, (0, 1), True),           # y.X_k <= 1 < 2 = y.p
+    # (0, 0) is inside conv_<=(X2), yet y.X_k = -1 < 0 = y.p
+    ((Q(0), Q(0)), X2, (-1, -1), False),        # a negative y_j
+    (HALF, X2, (1, 0), False),                  # y.X_0 = 1 > 1/2 = y.p
+    ((Q(1), Q(2)), X2, (1, 0), False),          # y.X_0 = 1 = y.p
+])
+def test_ray_holds_iff_both_conditions_hold(p, X, y, ok):
+    assert ray_holds(p, X, y) is ok
 
 
 # -- the verifier against the general simplex ------------------------------------
@@ -143,6 +165,15 @@ def check_verdict(data, problem, field=None):
                            wraps=search.member_dominated_hull) as member:
         got = verify_certificate(s, alpha, X, witnesses, field)
     assert got == expected
+    # the evidence the verdict carries holds: a separating ray, or a
+    # witness for every query in order
+    if isinstance(got, Invalid):
+        assert ray_holds(got.witness, X, got.ray)
+    else:       # as the wit lines `--emit-certificate` writes
+        assert [key for key, _ in got.wits] == list(queries)
+        assert all(witness_holds(queries[key], X, parse_lambda(
+            [(k, w if isinstance(w, str) else format_number(w))
+             for k, w in terms], field)) for key, terms in got.wits)
     if isinstance(expected, Valid) and all(m == "correct"
                                            for m in modes.values()):
         assert member.call_count == 0   # every witness held: no LP, no hull
@@ -170,3 +201,62 @@ def test_verdict_is_the_reference_whatever_the_witness_sqrt2(sqrt2_field,
                       ).filter(lambda c: sign_of(c) >= 0)
     problem = data.draw(closure_problems(entry, [Q(3, 2), r]))
     check_verdict(data, problem, sqrt2_field)
+
+
+# -- a kernel that lies ---------------------------------------------------------
+# Each liar stands in for one part of the search's kernel.  A verify that took
+# the kernel's word would report the valid matchings5 set INVALID under the
+# second liar and the set without X_17 VALID under the third; the checked
+# walk gives the true verdict or raises EvidenceRejected.
+
+lp_solve, admit = geometry.lp_solve, Hull.admit
+
+
+def wrong_lambda(x, X):
+    """The weights e_0 where the LP finds x inside."""
+    lam = lp_solve(x, X)
+    return ((0, 1),) if lam else lam
+
+
+def wrong_outside(x, X):
+    """A ray that separates nothing where the LP finds x inside."""
+    lam = lp_solve(x, X)
+    return Ray((1,) + (0,) * (len(x) - 1)) if lam else lam
+
+
+def admits_outside(hull, p, lam=True):
+    """Admits 2p, mostly outside, with p's weights."""
+    admit(hull, tuple(2 * a for a in p), lam)
+
+
+LIARS = {"wrong lambda": (geometry, "lp_solve", wrong_lambda),
+         "wrong outside": (geometry, "lp_solve", wrong_outside),
+         "admits outside": (Hull, "admit", admits_outside)}
+
+
+@pytest.fixture(scope="module")
+def lied_to(fx):
+    """(system, alpha, vectors, field, verdict) of the valid matchings5 set
+    at 13/10, of it without X_17, and of matchings3 and it without X_0."""
+    s = fx.load_fixture_system(fx.BY_NAME["matchings5"])
+    X = find_certificate(s, Q(13, 10)).certificate.vectors
+    m3 = fx.load_fixture_certificate(fx.BY_NAME["matchings3"])
+    s3 = fx.load_fixture_system(fx.BY_NAME["matchings3"])
+    sets = [(s, Q(13, 10), X, None), (s, Q(13, 10), X[:17] + X[18:], None),
+            (s3, m3.alpha, m3.vectors, m3.field),
+            (s3, m3.alpha, m3.vectors[1:], m3.field)]
+    return [(*c, verify_certificate(*c[:3], None, c[3])) for c in sets]
+
+
+@pytest.mark.parametrize("liar", LIARS)
+def test_a_lying_kernel_changes_no_verdict(liar, lied_to, monkeypatch):
+    assert [type(v) for *_, v in lied_to] == [Valid, Invalid, Valid, Invalid]
+    monkeypatch.setattr(*LIARS[liar])
+    got = []
+    for s, alpha, X, field, verdict in lied_to:
+        try:
+            got.append(verify_certificate(s, alpha, X, None, field))
+        except EvidenceRejected:
+            got.append(EvidenceRejected)
+        assert got[-1] in (verdict, EvidenceRejected)
+    assert got[:2] == [EvidenceRejected] * 2    # caught on both matchings5 sets

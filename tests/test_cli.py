@@ -1,7 +1,10 @@
 """CLI surface: subcommands, exit codes, file round-trips."""
 
+import errno
 from fractions import Fraction
 import importlib.util
+import io
+import os
 from pathlib import Path
 import re
 import sys
@@ -169,7 +172,6 @@ def asked(monkeypatch):
         return _pivot(*args)
 
     monkeypatch.setattr(geometry, "lp_solve", solve)
-    monkeypatch.setattr(search, "lp_solve", solve)
     monkeypatch.setattr(geometry, "_pivot", pivot)
     return asked
 
@@ -193,6 +195,15 @@ def test_matchings3_verify_takes_few_pivots(tmp_path, asked, capsys):
     assert main(["verify", data("matchings3.system"), str(stripped)]) == 0
     assert asked["lp"] == 29 and asked["pivot"] < 150
     capsys.readouterr()
+    # witness-free copies of the degree-85 total_perfect_dom certificate and
+    # of max_matchings' report the verdict and C of the bundled files
+    for name in ("total_perfect_dom", "max_matchings"):
+        stripped.write_text(strip_witnesses(fixreg.read_data(f"{name}.cert")))
+        assert main(["verify", data(f"{name}.system"), str(stripped)]) == 0
+        report = capsys.readouterr().out
+        assert main(["verify", data(f"{name}.system"),
+                     data(f"{name}.cert")]) == 0
+        assert capsys.readouterr().out == report
 
 
 def test_bound_budget_exhaustion_diagnostics(tmp_path, capsys):
@@ -277,9 +288,9 @@ def test_bound_verify_emits_the_bundled_witnesses(tmp_path, asked, capsys,
 
 
 def test_bound_verify_emit_asks_each_lp_once(tmp_path, asked, capsys):
-    # the witnesses are written first and the verify only checks them: on a
-    # witness-free min_perfect_dom certificate the writer's 7 LPs are all,
-    # where verifying first asked 6 more
+    # the verify's one walk gives the witnesses it writes: on a witness-free
+    # min_perfect_dom certificate it asks 6 LPs, an exact repeat settled by
+    # the point an LP admitted
     bundled = fixreg.read_data("min_perfect_dom.cert")
     stripped = tmp_path / "stripped.cert"
     stripped.write_text(strip_witnesses(bundled))
@@ -288,7 +299,7 @@ def test_bound_verify_emit_asks_each_lp_once(tmp_path, asked, capsys):
                  "--alpha", fixtures.BY_NAME["min_perfect_dom"].alpha_spec,
                  "--verify", str(stripped),
                  "--emit-certificate", str(out)]) == 0
-    assert out.read_text() == bundled and asked["lp"] == 7
+    assert out.read_text() == bundled and asked["lp"] == 6
     capsys.readouterr()
 
 
@@ -550,3 +561,39 @@ def test_fixtures_unknown_name(capsys):
 
 def test_missing_file_exits_2(capsys):
     assert main(["verify", "/nonexistent.system", "/nonexistent.cert"]) == 2
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, as in `treebound ... | head -1`."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_broken_pipe_exits_141_quietly(monkeypatch, capsys):
+    # no `cannot write None` report; stdout points at devnull afterwards, so
+    # the interpreter's final flush cannot fail again
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["verify", data("indep_dom.system"),
+                 data("indep_dom.cert")]) == 141
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+    assert capsys.readouterr().err == ""
+
+
+def test_rejected_evidence_is_an_error_not_a_verdict(tmp_path, monkeypatch,
+                                                     capsys):
+    # an LP that answers "outside" with a ray that separates nothing
+    lp_solve = geometry.lp_solve
+
+    def lie(x, X):
+        lam = lp_solve(x, X)
+        return geometry.Ray((0,) * len(x)) if lam else lam
+
+    monkeypatch.setattr(geometry, "lp_solve", lie)
+    stripped = tmp_path / "stripped.cert"
+    stripped.write_text(strip_witnesses(fixreg.read_data("matchings3.cert")))
+    assert main(["verify", data("matchings3.system"), str(stripped)]) == 1
+    out, err = capsys.readouterr()
+    assert "certificate" not in out
+    assert err.startswith("error: the ray for ")

@@ -10,8 +10,10 @@ from simplex_reference import LPProblem, lp_solve as reference_lp, reference_mem
 from tableau_reference import lp_solve as tableau_lp
 from treebound.errors import DimensionMismatch
 import treebound.geometry as geometry
+from treebound.check import ray_holds, witness_holds
 from treebound.geometry import (
     Hull,
+    Ray,
     hull_reduce,
     lp_solve,
     member_dominated_hull,
@@ -40,6 +42,40 @@ def assert_witness(lam, x, X):
         for a, v in zip(lam, X):
             acc = acc + a * v[j]
         assert sign_of(acc - x[j]) >= 0
+
+
+def dense(lam, m):
+    """The (k, lambda_k) weights of lp_solve as the m-tuple lambda."""
+    out = [Q(0)] * m
+    for k, w in lam:
+        out[k] = w
+    return tuple(out)
+
+
+def solve(x, X):
+    """lp_solve's lambda as a tuple, or None where it returns a Ray, which
+    must separate x from X (a Hull or a sequence).  Its weights come
+    nonzero and in order of k."""
+    lam = lp_solve(x, X)
+    vectors = getattr(X, "vectors", X)
+    if isinstance(lam, Ray):
+        assert ray_holds(x, vectors, lam)
+        return None
+    assert [k for k, _ in lam] == sorted({k for k, _ in lam})
+    assert all(w != 0 for _, w in lam)
+    return dense(lam, len(vectors))
+
+
+def member(x, X):
+    """member_dominated_hull's answer, once its evidence holds: weights that
+    put x inside (True for a point admitted without them), or a ray."""
+    ev = member_dominated_hull(x, X)
+    vectors = getattr(X, "vectors", X)
+    if isinstance(ev, Ray):
+        assert ray_holds(x, vectors, ev)
+        return False
+    assert ev is True or witness_holds(x, vectors, ev)
+    return True
 
 
 # -- the reference simplex (general LPs) -----------------------------------------
@@ -72,7 +108,7 @@ def test_degenerate_equalities_redundant_rows():
 def test_lp_infeasible_convex_combination():
     # lambda >= 0, sum = 1, lambda.{(1,0),(0,1)} >= (3/4, 3/4): coordinate
     # sums of any dominating combination reach only 1 < 3/2
-    assert lp_solve((Q(3, 4), Q(3, 4)), [(Q(1), Q(0)), (Q(0), Q(1))]) is None
+    assert solve((Q(3, 4), Q(3, 4)), [(Q(1), Q(0)), (Q(0), Q(1))]) is None
 
 
 def test_lp_exactness_rational_vs_field(sqrt2_field):
@@ -80,8 +116,8 @@ def test_lp_exactness_rational_vs_field(sqrt2_field):
     X = [(Q(2), Q(0), Q(1)), (Q(0), Q(3), Q(1)), (Q(1), Q(1), Q(0))]
     x = (Q(2, 3), Q(1), Q(1, 2))
     emb = lambda v: tuple(sqrt2_field.element([c]) for c in v)
-    lam_q = lp_solve(x, X)
-    lam_f = lp_solve(emb(x), [emb(v) for v in X])
+    lam_q = solve(x, X)
+    lam_f = solve(emb(x), [emb(v) for v in X])
     assert lam_q is not None and lam_f is not None
     assert_witness(lam_q, x, X)
     assert all(sign_of(a - b) == 0 for a, b in zip(lam_q, lam_f))
@@ -90,7 +126,7 @@ def test_lp_exactness_rational_vs_field(sqrt2_field):
 def test_lp_negative_rhs_rows():
     # a coordinate with x_j < 0 is met by any lambda: its surplus starts basic
     X = [(Q(1), Q(0)), (Q(0), Q(2))]
-    lam = lp_solve((Q(-1), Q(1)), X)
+    lam = solve((Q(-1), Q(1)), X)
     assert lam is not None
     assert_witness(lam, (Q(-1), Q(1)), X)
 
@@ -115,7 +151,7 @@ def sqrt2_entries(draw):
 @given(queries(rationals))
 def test_lp_agrees_with_reference_rational(query):
     x, X = query
-    lam = lp_solve(x, X)
+    lam = solve(x, X)
     assert (lam is not None) == reference_member(x, X)
     if lam is not None:
         assert_witness(lam, x, X)
@@ -129,7 +165,7 @@ def test_lp_agrees_with_reference_sqrt2(sqrt2_field, query):
     el = lambda ab: ab[0] + ab[1] * root if ab[1] else ab[0]
     x = tuple(el(c) for c in query[0])
     X = [tuple(el(c) for c in v) for v in query[1]]
-    lam = lp_solve(x, X)
+    lam = solve(x, X)
     assert (lam is not None) == reference_member(x, X)
     if lam is not None:
         assert_witness(lam, x, X)
@@ -153,7 +189,7 @@ def test_lp_degenerate_pivot_hands_pricing_to_bland(monkeypatch):
     x = (Q(1, 2), Q(2))
     X = [(Q(1, 2), Q(0)), (Q(1, 2), Q(1)), (Q(1), Q(0)), (Q(2), Q(1)),
          (Q(0), Q(3))]
-    assert lp_solve(x, X) == (Q(0), Q(1, 3), Q(0), Q(1, 6), Q(1, 2))
+    assert solve(x, X) == (Q(0), Q(1, 3), Q(0), Q(1, 6), Q(1, 2))
     assert [c for c, _, _ in per_pivot] == [4, 1, 3]
     assert per_pivot[0][1] == len(X)        # surplus 0 leaves
     assert [sign_of(b) for _, _, b in per_pivot] == [0, 1, 1]
@@ -194,12 +230,12 @@ def hard_queries(draw, entry=sparse):
 def check_against_reference(x, X):
     """lp_solve against the general simplex, and membership with its
     domination and escape tests against the LP alone."""
-    lam = lp_solve(x, X)
+    lam = solve(x, X)
     assert (lam is not None) == reference_member(x, X)
     if lam is not None:
         assert_witness(lam, x, X)
     if all(sign_of(a) >= 0 for a in x):
-        assert member_dominated_hull(x, X) == (lam is not None)
+        assert member(x, X) == (lam is not None)
 
 
 @settings(max_examples=120, deadline=None)
@@ -225,7 +261,7 @@ def test_lp_embedded_rational_query_takes_the_same_path(sqrt2_field, query):
     # field elements with rational values build int rows: same lambda
     x, X = query
     emb = lambda v: tuple(sqrt2_field.element([c]) for c in v)
-    assert lp_solve(emb(x), [emb(v) for v in X]) == lp_solve(x, X)
+    assert solve(emb(x), [emb(v) for v in X]) == solve(x, X)
 
 
 # -- the integer-preserving pivots stay exact ------------------------------------
@@ -296,7 +332,7 @@ def test_lp_pivots_keep_the_scaled_inverse_exact(query):
     _pivot = geometry._pivot
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_pivot", pivot)
-        lam = lp_solve(x, X)
+        lam = solve(x, X)
     assert (lam is not None) == reference_member(x, X)
     if lam is not None:
         assert_witness(lam, x, X)
@@ -310,14 +346,14 @@ def test_lp_pivots_keep_the_scaled_inverse_exact(query):
 @given(st.one_of(queries(rationals), hard_queries()))
 def test_lp_pivots_as_the_tableau_routine_rational(query):
     x, X = query
-    assert lp_solve(x, X) == tableau_lp(x, X)
+    assert solve(x, X) == tableau_lp(x, X)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_lp_pivots_as_the_tableau_routine_sqrt2(sqrt2_field, data):
     x, X = data.draw(sqrt2_query(sqrt2_field.alpha()))
-    assert lp_solve(x, X) == tableau_lp(x, X)
+    assert solve(x, X) == tableau_lp(x, X)
 
 
 def sqrt2_query(root):
@@ -340,7 +376,7 @@ def test_lp_negative_irrational_coordinate(sqrt2_field):
     X = [(Q(1), root, Q(0)), (Q(0), Q(1), root), (root, Q(0), Q(1))]
     for x in [(1 - root, Q(6, 5), Q(1, 2)), (root - 2, Q(6, 5), Q(2, 3)),
               (1 - root, Q(6, 5), Q(4, 5)), (-root, Q(2), Q(1))]:
-        lam = lp_solve(x, X)
+        lam = solve(x, X)
         assert lam == tableau_lp(x, X)
         assert (lam is not None) == reference_member(x, X)
 
@@ -350,12 +386,12 @@ def test_lp_replays_matchings3_verify_as_the_tableau_routine(fx, monkeypatch):
     queries_seen = []
 
     def both(x, hull):
-        lam = solve(x, hull)
-        assert lam == tableau_lp(x, list(hull.vectors))
+        lam = lp_solve(x, hull)
+        assert (dense(lam, len(hull.vectors)) if lam else None) == tableau_lp(
+            x, list(hull.vectors))
         queries_seen.append(lam)
         return lam
 
-    solve = geometry.lp_solve
     monkeypatch.setattr(geometry, "lp_solve", both)
     f = fx.BY_NAME["matchings3"]
     cert = fx.load_fixture_certificate(f)
@@ -371,7 +407,7 @@ def test_lp_replays_matchings3_verify_as_the_tableau_routine(fx, monkeypatch):
 
 def check_hull(data, x, X):
     hull = Hull(X)
-    lam = lp_solve(x, hull)
+    lam = solve(x, hull)
     assert lam == tableau_lp(x, X)
     assert (lam is not None) == reference_member(x, X)
     keep = data.draw(st.lists(st.sampled_from(range(len(X))), min_size=1,
@@ -379,13 +415,13 @@ def check_hull(data, x, X):
     part = [X[k] for k in keep]
     sub = hull.subset(keep)
     assert sub.vectors == tuple(part)
-    lam = lp_solve(x, sub)
+    lam = solve(x, sub)
     assert (lam is not None) == reference_member(x, part)
     if lam is not None:
         assert_witness(lam, x, part)
     if all(sign_of(a) >= 0 for a in x):
-        assert member_dominated_hull(x, hull) == reference_member(x, X)
-        assert member_dominated_hull(x, sub) == (lam is not None)
+        assert member(x, hull) == reference_member(x, X)
+        assert member(x, sub) == (lam is not None)
 
 
 @settings(max_examples=150, deadline=None)
@@ -433,15 +469,15 @@ def check_admitted(data, X, points, xs):
         if reference_member(p, X):
             hull.admit(p)
     for x in xs:
-        assert member_dominated_hull(x, hull) == reference_member(x, X)
+        assert member(x, hull) == reference_member(x, X)
     keep = data.draw(st.lists(st.sampled_from(range(len(X))), min_size=1,
                               unique=True).map(sorted))
     sub = hull.subset(keep)
-    assert sub.admitted == [] and sub.shown == set()
+    assert sub.admitted == [] and sub.shown == {}
     assert sub.rows is None or len(sub.rows) == len(keep)
     part = [X[k] for k in keep]
     for x in xs:
-        assert member_dominated_hull(x, sub) == reference_member(x, part)
+        assert member(x, sub) == reference_member(x, part)
 
 
 @settings(max_examples=150, deadline=None)
@@ -473,7 +509,7 @@ def test_admitted_point_settles_what_it_dominates(sqrt2_field, monkeypatch):
     field_hull = Hull([(root - 1, Q(0)), (Q(0), Q(1))])
     x = (Q(1, 4), root / 4)
     assert member_dominated_hull(x, field_hull)  # by an LP
-    assert field_hull.admitted == [x] and field_hull.shown == {x}
+    assert field_hull.admitted == [x] and field_hull.shown.keys() == {x}
 
     def no_lp(x, X):
         raise AssertionError("an LP was asked")

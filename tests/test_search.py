@@ -149,8 +149,10 @@ def test_fixtures_run_search_asks_the_same_lps(monkeypatch, capsys):
     assert cli.main(["fixtures", "run", "--search"]) == 0
     stripped = capsys.readouterr().out
     assert "budget exhausted" not in stripped
-    assert asked["verify", "lp"] == 214 and asked["search", "lp"] == 373
-    assert asked["search", "apply"] <= 797
+    # the unseeded total_perfect_dom search (20 iterations) asks 264 of the
+    # search's LPs and 946 of its products
+    assert asked["verify", "lp"] == 214 and asked["search", "lp"] == 637
+    assert asked["search", "apply"] <= 1743
     asked.clear()
     monkeypatch.setattr(cli, "load_certificate", load_certificate)
     assert cli.main(["fixtures", "run"]) == 0
