@@ -62,18 +62,18 @@ def vec_is_nonnegative(u: Vec) -> bool:
 
 # -- a vector set prepared for membership queries ------------------------------
 
-def _rational(a):
-    """The exact rational value of a, or None when it is irrational."""
-    return a.rational_value() if isinstance(a, AlgebraicNumber) else a
+def _has_element(v: Vec) -> bool:
+    """Whether some entry of v is an AlgebraicNumber, not an int or Fraction."""
+    return any(isinstance(a, AlgebraicNumber) for a in v)
 
 
 class Hull:
     """A nonempty vector set X prepared once for many conv_<= queries.
 
-    For each coordinate j whose entries all have rational values it keeps
-    L_j, the lcm of their denominators, the int column X_ij * L_j and its
-    maximum; `scales[j]` is None for a column holding an irrational field
-    element.  The raw columns serve rows that hold a field element.  A query
+    For each coordinate j with no AlgebraicNumber entry (all ints and
+    Fractions) it keeps L_j, the lcm of their denominators, the int column
+    X_ij * L_j and its maximum; `scales[j]` is None for a column holding an
+    AlgebraicNumber.  The raw columns serve rows that hold one.  A query
     scales only its own coordinates against these (`lp_solve`), and the
     domination and escape tests of `member_dominated_hull` compare ints.
     The hull remembers the points shown inside it (`admit`): `rows` holds
@@ -96,15 +96,14 @@ class Hull:
         self.raw = list(zip(*self.vectors))
         self.scales, self.cols = [], []
         for col in self.raw:
-            vals = [_rational(a) for a in col]
-            if any(a is None for a in vals):
+            if _has_element(col):
                 self.scales.append(None)
                 self.cols.append(None)
             else:
-                scale = lcm(*(a.denominator for a in vals))
+                scale = lcm(*(a.denominator for a in col))
                 self.scales.append(scale)
                 self.cols.append([a.numerator * (scale // a.denominator)
-                                  for a in vals])
+                                  for a in col])
         self._index()
 
     def _index(self):
@@ -124,12 +123,11 @@ class Hull:
         is not.  Otherwise p becomes an exact key, which settles p itself
         without the signs a domination test asks."""
         self.admitted.append(p)
-        vals = None if self.rows is None else [_rational(a) for a in p]
-        if vals is None or None in vals:
+        if self.rows is None or _has_element(p):
             self.shown[p] = lam
         else:
-            self.rows.append((tuple(v.numerator * scale // v.denominator
-                                    for v, scale in zip(vals, self.scales)),
+            self.rows.append((tuple(a.numerator * scale // a.denominator
+                                    for a, scale in zip(p, self.scales)),
                               p, lam))
 
     def subset(self, keep: Sequence[int]) -> "Hull":
@@ -168,11 +166,11 @@ def lp_solve(x: Vec, X):
     z = (lambda, a surplus per coordinate).  Only [M | beta] is kept:
     M = d * B^-1, the basis inverse times d, the last pivot, and beta = M b.
     The pivots are integer-preserving (Edmonds 1967, Bareiss 1968): each
-    divides exactly by the previous d.  A row of A whose entries all have
-    rational values is scaled to ints by its lcm denominator, lcm(L_j,
-    den x_j) from the hull's cached column; with every row so scaled,
-    [M | beta] stays in ints with no gcd work, and over Q(alpha) the update
-    multiplies by one inverse of d per pivot.
+    divides exactly by the previous d.  A row of A with no AlgebraicNumber
+    entry is scaled to ints by its lcm denominator, lcm(L_j, den x_j) from
+    the hull's cached column; with every row so scaled, [M | beta] stays in
+    ints with no gcd work, and over Q(alpha) the update multiplies by one
+    inverse of d per pivot.
 
     Start: a crash basis (Bixby 1992) shaped to the question, over Q and
     Q(alpha) alike: lambda_k basic in row 0, X_k the vector short of x in
@@ -203,15 +201,14 @@ def lp_solve(x: Vec, X):
     data, rhs, fs = [], [], []      # rows 1..n of A and of b, row scales
     all_int = True                  # no field row: Dantzig pricing
     for a, scale, col, raw in zip(x, hull.scales, hull.cols, hull.raw):
-        v = _rational(a)
-        if scale is None or v is None:
+        if scale is None or isinstance(a, AlgebraicNumber):
             row, b, full = raw, a, 1
             all_int = False
         else:
-            full = lcm(scale, v.denominator)
+            full = lcm(scale, a.denominator)
             row = col if full == scale else list(map((full // scale).__mul__,
                                                       col))
-            b = v.numerator * (full // v.denominator)
+            b = a.numerator * (full // a.denominator)
         data.append(row)
         rhs.append(b)
         fs.append(full)
@@ -314,16 +311,15 @@ def member_dominated_hull(x: Vec, X):
     inside, and on field data each x that it answers True.
     """
     hull = _hull(x, X)
-    vals = [_rational(a) for a in x]
-    if hull.rows is not None and all(v is not None for v in vals):
+    if hull.rows is not None and not _has_element(x):
         # x_j <= X_ij iff ceil(x_j L_j) <= X_ij L_j, an int.  An admitted
         # row, floor(p_j L_j), can fail that test when x_j <= p_j, but not
         # floor(x_j L_j) <= it: a row that passes only the second is
         # compared exactly
-        low = [v.numerator * scale // v.denominator
-               for v, scale in zip(vals, hull.scales)]
-        need = [-(-v.numerator * scale // v.denominator)
-                for v, scale in zip(vals, hull.scales)]
+        low = [a.numerator * scale // a.denominator
+               for a, scale in zip(x, hull.scales)]
+        need = [-(-a.numerator * scale // a.denominator)
+                for a, scale in zip(x, hull.scales)]
         # only an escape pays a second scan, to build its ray
         if any(map(gt, need, hull.tops)):
             return Ray(map(gt, need, hull.tops))

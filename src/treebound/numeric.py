@@ -12,9 +12,11 @@ All polynomial work (gcds, square-free parts, Sturm chains, inverses) runs on
 integer coefficients through one pseudo-division routine, and polynomials
 are evaluated at a rational n/d in integers, scaled by a power of d.
 
-Pure rationals are plain ``fractions.Fraction`` values; they mix freely with
-field elements, so rational-only computations never pay for polynomial
-arithmetic.
+A rational value is always an ``int`` or a ``fractions.Fraction``, never an
+AlgebraicNumber: every field operation whose reduced numerator is constant
+returns the rational, so an AlgebraicNumber always has a non-constant
+numerator.  Rationals mix freely with field elements, and rational-only
+computations never pay for polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -384,10 +386,11 @@ class NumberField:
                                for row in rows], den)
         return self._red_rows
 
-    def _make(self, num: dict, den: int) -> "AlgebraicNumber":
-        """The canonical element num / den, num a sparse exponent -> int map
+    def _make(self, num: dict, den: int):
+        """The canonical value num / den, num a sparse exponent -> int map
         of any degree and den > 0: reduced mod P, zeros dropped, and the
-        content of the numerator made coprime to den."""
+        content of the numerator made coprime to den.  A constant numerator
+        gives the rational itself, an int when den is 1."""
         d = self.degree
         if num and max(num) >= d:
             rows, rden = self._reduction_rows()
@@ -403,6 +406,9 @@ class NumberField:
             if g != 1:
                 items = [(e, c // g) for e, c in items]
                 den //= g
+        if not items or items[-1][0] == 0:
+            c = items[0][1] if items else 0
+            return c if den == 1 else Q(c, den)
         return AlgebraicNumber(self, tuple(items), den)
 
     # -- identity ------------------------------------------------------------
@@ -437,14 +443,15 @@ class NumberField:
 
     # -- element constructors --------------------------------------------------
 
-    def element(self, coeffs) -> "AlgebraicNumber":
-        """Element from a low-to-high dense coefficient list (length <= degree)."""
+    def element(self, coeffs):
+        """Element from a low-to-high dense coefficient list (length <= degree):
+        an AlgebraicNumber, or an int or Fraction when it is constant."""
         cs = [Q(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
         return self._make({e: c.numerator * (den // c.denominator)
                            for e, c in enumerate(cs)}, den)
 
-    def alpha(self) -> "AlgebraicNumber":
+    def alpha(self):
         return self.element([0, 1])
 
 
@@ -545,6 +552,8 @@ class AlgebraicNumber:
 
     `_num` is the sorted tuple of (exponent, nonzero int) pairs and `_den` is
     coprime to their content, so equal values have equal representatives.
+    The numerator is never constant (`NumberField._make`); only `_coerce`
+    builds a constant one, as an operand inside one operation.
     """
 
     __slots__ = ("field", "_num", "_den", "_hash")
@@ -557,15 +566,8 @@ class AlgebraicNumber:
 
     # -- views ----------------------------------------------------------------
 
-    def items(self):
-        """Sorted (exponent, rational coefficient) pairs, nonzero only."""
-        return tuple((e, Q(c, self._den)) for e, c in self._num)
-
     def coeff_list(self) -> Tuple[Q, ...]:
-        out = [QZERO] * self.field.degree
-        for e, c in self.items():
-            out[e] = c
-        return poly_trim(out)
+        return tuple(Q(c, self._den) for c in self._dense())
 
     def _dense(self) -> list:
         """The numerator as a dense int polynomial."""
@@ -573,19 +575,6 @@ class AlgebraicNumber:
         for e, c in self._num:
             out[e] = c
         return out
-
-    def rational_value(self) -> Q | None:
-        """The exact rational value, or None when irrational."""
-        if not self._num:
-            return QZERO
-        if len(self._num) == 1 and self._num[0][0] == 0:
-            return Q(self._num[0][1], self._den)
-        x = self.field._exact
-        if x is not None:
-            num = self._dense()
-            return Q(_hval(num, x.numerator, x.denominator),
-                     self._den * x.denominator ** (len(num) - 1))
-        return None
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -637,8 +626,6 @@ class AlgebraicNumber:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if not self._num or not o._num:
-            return AlgebraicNumber(self.field, ())
         prod: dict = {}
         for e1, c1 in self._num:
             for e2, c2 in o._num:
@@ -694,8 +681,7 @@ class AlgebraicNumber:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        acc = AlgebraicNumber(self.field, ((0, 1),))
-        base = self
+        acc, base = 1, self
         while n:
             if n & 1:
                 acc = acc * base
@@ -711,8 +697,6 @@ class AlgebraicNumber:
         After two misses, the value is zero iff gcd(numerator, P) has a root
         in the interval; that test runs once, and a nonzero value then
         needs only more halvings."""
-        if not self._num:
-            return 0
         f = self.field
         misses = 0
         while True:
@@ -733,17 +717,13 @@ class AlgebraicNumber:
             misses += 1
 
     def __eq__(self, other):
-        # equality of reduced representatives (the dedup contract); use
-        # sign_of(a - b) for semantic equality of values
-        if isinstance(other, AlgebraicNumber):
-            return (self._num == other._num and self._den == other._den
-                    and self.field == other.field)
-        if isinstance(other, (int, Q)):
-            if other == 0:
-                return not self._num
-            return (self._num == ((0, other.numerator),)
-                    and self._den == other.denominator)
-        return NotImplemented
+        """Equality of reduced representatives (the dedup contract); use
+        sign_of(a - b) for semantic equality of values.  A rational value's
+        representative is its int or Fraction, so it equals no element."""
+        if not isinstance(other, AlgebraicNumber):
+            return NotImplemented
+        return (self._num == other._num and self._den == other._den
+                and self.field == other.field)
 
     # order by the exact sign of the difference; nothing needs < or >
     def __le__(self, other):
@@ -754,10 +734,7 @@ class AlgebraicNumber:
 
     def __hash__(self):
         if self._hash is None:
-            if len(self._num) <= 1 and (not self._num or self._num[0][0] == 0):
-                self._hash = hash(self.rational_value())
-            else:
-                self._hash = hash((self.field, self._num, self._den))
+            self._hash = hash((self.field, self._num, self._den))
         return self._hash
 
     def __repr__(self):
@@ -788,9 +765,6 @@ def decimal_interval(x, width) -> Tuple[Q, Q]:
     if not isinstance(x, AlgebraicNumber):
         x = Q(x)
         return x, x
-    r = x.rational_value()
-    if r is not None:
-        return r, r
     f = x.field
     while True:  # enclose the numerator, then divide by the denominator
         lo, hi, scale = f.enclose(x._num)
@@ -860,7 +834,8 @@ class Directives:
 
 
 def parse_number(tok: str, field: NumberField | None = None):
-    """A rational, as an int when it is integral, or a poly(...) element."""
+    """A rational, as an int when it is integral, or the value of a poly(...)
+    literal: an element, or its rational when the literal is constant."""
     tok = tok.strip()
     if tok.startswith("poly(") and tok.endswith(")"):
         if field is None:
@@ -873,9 +848,6 @@ def parse_number(tok: str, field: NumberField | None = None):
 
 def format_number(x) -> str:
     if isinstance(x, AlgebraicNumber):
-        r = x.rational_value()
-        if r is not None and len(x._num) <= 1:
-            return format_rational(r)
         coeffs = x.coeff_list()
         return "poly(" + ",".join(format_rational(c) for c in coeffs) + ")"
     return format_rational(x)

@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Tuple
 
 from treebound.errors import DimensionMismatch
 from treebound.geometry import Vec
-from treebound.numeric import QONE, QZERO, sign_of
+from treebound.numeric import QONE, QZERO, invert, sign_of
 
 
 # -- LP problems --------------------------------------------------------------
@@ -63,8 +63,8 @@ class _Tableau:
 
     def pivot(self, r: int, c: int) -> None:
         row = self.rows[r]
-        inv = row[c]
-        self.rows[r] = row = [v / inv for v in row]
+        inv = invert(row[c])
+        self.rows[r] = row = [v * inv for v in row]
         for i, other in enumerate(self.rows):
             if i == r:
                 continue

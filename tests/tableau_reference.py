@@ -14,7 +14,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from treebound.geometry import Vec
-from treebound.numeric import AlgebraicNumber, Q, QONE, QZERO, invert, sign_of
+from treebound.numeric import AlgebraicNumber, QZERO, invert, sign_of
 
 
 def lp_solve(x: Vec, X: Sequence[Vec]) -> Optional[Vec]:
@@ -23,8 +23,9 @@ def lp_solve(x: Vec, X: Sequence[Vec]) -> Optional[Vec]:
     Phase 1 of the simplex from the crash basis of `lp_solve`, over Q and
     Q(alpha) alike.  The pivots are integer-preserving (Edmonds 1967,
     Bareiss 1968): the tableau holds every entry times d, the last pivot,
-    and each pivot divides exactly by the previous d.  A row whose entries all have rational values is scaled to
-    ints by its lcm denominator, so it stays in ints with no gcd work; over
+    and each pivot divides exactly by the previous d.  A row with no
+    AlgebraicNumber entry is scaled to ints by its lcm denominator; with
+    every row so scaled, the tableau stays in ints with no gcd work.  Over
     Q(alpha) the same loop multiplies by one inverse of d per pivot.
 
     Pricing: while the whole tableau is in ints, the most negative reduced
@@ -39,19 +40,13 @@ def lp_solve(x: Vec, X: Sequence[Vec]) -> Optional[Vec]:
     all_int = True                  # no field row: Dantzig pricing
     for j in range(n):
         data = [v[j] for v in X] + [x[j]]
-        vals = [a.rational_value() if isinstance(a, AlgebraicNumber) else a
-                for a in data]
-        if any(a is None for a in vals):
-            # no int in a field row: a row is all ints or has none
-            data, one, zero = [a if isinstance(a, AlgebraicNumber) else Q(a)
-                               for a in data], QONE, QZERO
+        if any(isinstance(a, AlgebraicNumber) for a in data):
             all_int = False
         else:
-            scale = lcm(*(a.denominator for a in vals))
-            data, one, zero = [a.numerator * (scale // a.denominator)
-                               for a in vals], 1, 0
-        row = data[:-1] + [zero] * n + data[-1:]
-        row[m + j] = -one
+            scale = lcm(*(a.denominator for a in data))
+            data = [a.numerator * (scale // a.denominator) for a in data]
+        row = data[:-1] + [0] * n + data[-1:]
+        row[m + j] = -1
         rows.append(row)
     # lambda_k for the X_k short of x in the fewest rows, and the surplus of
     # each row X_k covers, that row negated so its pivot is 1
@@ -97,12 +92,11 @@ def lp_solve(x: Vec, X: Sequence[Vec]) -> Optional[Vec]:
         prow = rows[leave]
         p = prow[enter]
         bland = not all_int or sign_of(prow[-1]) == 0
-        ints = type(p) is int and type(d) is int
         inv = invert(d)
         for i, row in enumerate(rows):
             if i != leave:
-                rows[i] = _eliminate(row, prow, enter, d, inv, ints)
-        cost = _eliminate(cost, prow, enter, d, inv, ints)
+                rows[i] = _eliminate(row, prow, enter, d, inv, all_int)
+        cost = _eliminate(cost, prow, enter, d, inv, all_int)
         basis[leave] = enter
         d = p
     lam = [QZERO] * m
@@ -116,11 +110,12 @@ def lp_solve(x: Vec, X: Sequence[Vec]) -> Optional[Vec]:
 def _eliminate(row, prow, c, d, inv, ints):
     """(p*row - f*prow) / d for p = prow[c], f = row[c], exactly.
 
-    The quotient is a minor of the scaled data, so an all-int row divides
-    exactly; any other row takes p/d and f/d once, then two products an entry.
+    The quotient is a minor of the scaled data, so on an all-int tableau
+    (`ints`) a row divides exactly; otherwise it takes p/d and f/d once, then
+    two products an entry.
     """
     p, f = prow[c], row[c]
-    if ints and type(f) is int:
+    if ints:
         return [(p * a - f * b) // d for a, b in zip(row, prow)]
     if f == 0:
         if p == d:

@@ -112,10 +112,11 @@ def test_lp_infeasible_convex_combination():
 
 
 def test_lp_exactness_rational_vs_field(sqrt2_field):
-    # the same rational-data query solved over Q and over Q(sqrt 2)
+    # the same query solved over Q, and over Q(sqrt 2) with every coordinate
+    # scaled by sqrt 2, so that every row of the LP is a field row
     X = [(Q(2), Q(0), Q(1)), (Q(0), Q(3), Q(1)), (Q(1), Q(1), Q(0))]
     x = (Q(2, 3), Q(1), Q(1, 2))
-    emb = lambda v: tuple(sqrt2_field.element([c]) for c in v)
+    emb = lambda v: tuple(c * sqrt2_field.alpha() for c in v)
     lam_q = solve(x, X)
     lam_f = solve(emb(x), [emb(v) for v in X])
     assert lam_q is not None and lam_f is not None

@@ -2,6 +2,7 @@
 check keeps names that a refactor left behind from piling up."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,11 @@ def test_no_unused_imports(path):
 
 FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
 
+# attribute names of the builtin values the package computes with: a call
+# such as "abc".index(...) reads like a call of any method named index
+BUILTIN_ATTRIBUTES = frozenset().union(
+    *(dir(t) for t in (str, list, dict, tuple, set, int, Fraction)))
+
 
 def defined_functions(tree):
     """Every function and method defined in the tree, dunder methods aside."""
@@ -69,12 +75,17 @@ def unreferenced_functions(sources: dict):
     check repeats until no new dead function turns up, so code that only
     dead functions call is dead too.  An import is no reference: neither a
     package export nor a module importing what only its dead code uses
-    keeps a function alive.
+    keeps a function alive.  Uses are matched by bare name, so a method
+    named like a BUILTIN_ATTRIBUTES entry cannot be told used or not, and
+    is reported whatever calls it.
     """
     trees = {module: ast.parse(src) for module, src in sources.items()}
     functions = {module: defined_functions(tree)
                  for module, tree in trees.items()}
-    dead = set()
+    methods = {node for tree in trees.values() for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for node in cls.body}
+    dead = {node for nodes in functions.values() for node in nodes
+            if node in methods and node.name in BUILTIN_ATTRIBUTES}
     while True:
         used = set()
         for tree in trees.values():
@@ -101,6 +112,15 @@ def test_the_check_sees_an_unreferenced_function():
     # an export is no use, and neither is a method's call of itself
     assert unreferenced_functions(sources) == {"a": [(8, "m")],
                                                "b": [(1, "h")]}
+    # a method named like a list or str method is reported even where it is
+    # called, and a function of that name is matched by name as ever
+    sources["d"] = ("class D:\n    def index(self):\n        return 0\n"
+                    "\ndef count():\n    return D().index()\n"
+                    "\ncount()\n[].index(0)\n")
+    assert unreferenced_functions(sources) == {"a": [(8, "m")],
+                                               "b": [(1, "h")],
+                                               "d": [(2, "index")]}
+    del sources["d"]
     sources["a"] += ("\ndef r(n):\n    return r(n - 1) if n else g()\n"
                      "\ndef d1():\n    return d2()\n"
                      "\ndef d2():\n    return C().m()\n")

@@ -1,5 +1,7 @@
 """Field construction, exact arithmetic, signs, and decimal brackets."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,6 +32,7 @@ from treebound.errors import (
     ParseError,
 )
 from treebound.numeric import (
+    AlgebraicNumber,
     NumberField,
     Q,
     count_real_roots,
@@ -49,7 +52,7 @@ from treebound.numeric import (
     squarefree_part,
     _hval,
 )
-from treebound.geometry import hull_reduce
+from treebound.geometry import Hull, hull_reduce
 from treebound.search import parse_certificate
 
 rationals = st.builds(Q, st.integers(-60, 60), st.integers(1, 12))
@@ -97,7 +100,7 @@ def test_field_state_independent_of_earlier_parses(monkeypatch):
 def test_degree_one_field_is_rational():
     f = NumberField([-3, 1], 2, 4)  # x - 3
     a = f.alpha()
-    assert a.rational_value() == 3
+    assert type(a) is int and a == 3
     assert sign_of(a - 3) == 0
     assert decimal_interval(a, Q(1, 100)) == (Q(3), Q(3))
 
@@ -201,12 +204,12 @@ def test_same_root_different_interval_is_same_field():
 
 def test_invert_examples(sqrt2_field, plastic_field):
     a = plastic_field.alpha()
-    assert a.inverse() == plastic_field.element([-1, 0, 1])  # alpha^2 - 1
+    assert invert(a) == plastic_field.element([-1, 0, 1])  # alpha^2 - 1
     assert invert(Q(2)) == Q(1, 2)
     b = sqrt2_field.alpha()
-    assert b.inverse() == sqrt2_field.element([0, Q(1, 2)])  # alpha/2
+    assert invert(b) == sqrt2_field.element([0, Q(1, 2)])  # alpha/2
     with pytest.raises(DivisionByZero):
-        sqrt2_field.element([0]).inverse()
+        invert(sqrt2_field.element([0]))
 
 
 # -- differential check against dense polynomials over Q ------------------------
@@ -226,6 +229,20 @@ def coeff_lists(deg):
     return st.lists(c, min_size=deg, max_size=deg)
 
 
+def coeffs_of(x):
+    """The dense coefficients of a field element, or of a rational."""
+    return x.coeff_list() if isinstance(x, AlgebraicNumber) else poly([x])
+
+
+def ref_pow(c, n, P):
+    if n < 0:
+        c, n = ref_inverse(c, P), -n
+    out = poly([1])
+    for _ in range(n):
+        out = ref_mul(out, c, P)
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(REF_FIELDS))
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
@@ -237,19 +254,54 @@ def test_arithmetic_agrees_with_dense_reference(name, data):
     cb = poly(data.draw(coeff_lists(f.degree)))
     r = data.draw(st.builds(Q, st.integers(-9, 9), st.integers(1, 5)))
     a, b = f.element(ca), f.element(cb)
-    assert a.coeff_list() == ca
-    assert (a * b).coeff_list() == ref_mul(ca, cb, P)
-    assert (a * r).coeff_list() == ref_mul(ca, poly([r]), P)
-    assert (a + b).coeff_list() == ref_add(ca, cb)
-    assert (r - a).coeff_list() == ref_sub(poly([r]), ca)
-    assert (a - b).coeff_list() == ref_sub(ca, cb)
-    assert (-a).coeff_list() == poly_neg(ca)
+    assert coeffs_of(a) == ca
+    assert coeffs_of(a * b) == ref_mul(ca, cb, P)
+    assert coeffs_of(a * r) == ref_mul(ca, poly([r]), P)
+    assert coeffs_of(a + b) == ref_add(ca, cb)
+    assert coeffs_of(r - a) == ref_sub(poly([r]), ca)
+    assert coeffs_of(a - b) == ref_sub(ca, cb)
+    assert coeffs_of(-a) == poly_neg(ca)
     assert sign_of(a) == ref_sign(ca, P, Q(lo), Q(hi))
     assert sign_of(a - b) == ref_sign(ref_sub(ca, cb), P, Q(lo), Q(hi))
     assert format_number(a) == ref_format(ca)
     assert format_number(a * b) == ref_format(ref_mul(ca, cb, P))
     if ca:
-        assert a.inverse().coeff_list() == ref_inverse(ca, P)
+        assert coeffs_of(invert(a)) == ref_inverse(ca, P)
+
+
+@pytest.mark.parametrize("name", sorted(REF_FIELDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_constant_results_are_rationals_and_elements_are_not(name, data):
+    # a is never constant; b is drawn freely, or as a + r, r * a or 1/a, so
+    # that a - b, a / b and a * b are often constant
+    p, (lo, hi) = REF_FIELDS[name]
+    f = NumberField(p, lo, hi)
+    P = poly(p)
+    ca = poly(data.draw(coeff_lists(f.degree)))
+    if len(ca) <= 1:
+        ca = ref_add(ca, poly([0, 1]))
+    r = data.draw(rationals)
+    cb = data.draw(st.sampled_from([
+        poly(data.draw(coeff_lists(f.degree))), ref_add(ca, poly([r])),
+        ref_mul(ca, poly([r]), P), ref_inverse(ca, P)]))
+    n = data.draw(st.integers(-2, 3))
+    a, b = f.element(ca), f.element(cb)
+    results = [(a + b, ref_add(ca, cb)), (b - a, ref_sub(cb, ca)),
+               (a - b, ref_sub(ca, cb)), (a * b, ref_mul(ca, cb, P)),
+               (b / a, ref_mul(cb, ref_inverse(ca, P), P)),
+               (a ** n, ref_pow(ca, n, P))]
+    if cb:
+        results.append((a / b, ref_mul(ca, ref_inverse(cb, P), P)))
+    for got, want in results:
+        if len(want) <= 1:
+            assert type(got) in (int, Q) and got == (want[0] if want else 0)
+        else:
+            assert isinstance(got, AlgebraicNumber)
+            assert len(got.coeff_list()) > 1 and got.coeff_list() == want
+    for (g1, w1), (g2, w2) in combinations(results, 2):
+        if w1 == w2:
+            assert g1 == g2 and hash(g1) == hash(g2)
 
 
 def test_sign_of_a_constant_when_the_interval_straddles_zero():
@@ -266,8 +318,23 @@ def test_sign_after_a_bisection_lands_on_a_rational_root():
     # exactly, and the enclosures that follow are single points
     f = NumberField((3, -4, 1), 0, 2)
     assert sign_of(f.alpha() - 1) == 0
-    assert f.interval() == (1, 1) and f.alpha().rational_value() == 1
+    assert f.interval() == (1, 1) and isinstance(f.alpha(), AlgebraicNumber)
+    assert decimal_interval(f.alpha(), Q(1, 100)) == (1, 1)
     assert sign_of(f.alpha() - Q(1, 2)) == 1 and sign_of(f.alpha() - 2) == -1
+
+
+def test_a_value_keeps_its_form_when_alpha_lands_on_a_rational_root():
+    # in the same field, alpha is an element whether or not a sign query has
+    # found it to be 1, so it prints and prepares a hull the same way
+    f = NumberField((3, -4, 1), 0, 2)
+
+    def forms():
+        a = f.alpha()
+        return format_number(a), Hull([(a, Q(1)), (Q(1, 2), Q(2))]).scales
+
+    before = forms()
+    assert sign_of(f.alpha() - 1) == 0
+    assert forms() == before == ("poly(0,1)", [None, 1])
 
 
 # -- the integer polynomial kernel against the dense Q reference ----------------
@@ -406,7 +473,7 @@ def test_not_invertible_reports_the_monic_rational_factor(field, data):
         (-r, Q(1)) for r in ROOTS if poly_eval(p, r) == 0]))
     a = poly_mul(factor, (Q(1, 3), Q(1)))
     with pytest.raises(NotInvertible) as exc:
-        f.element(a).inverse()
+        invert(f.element(a))
     assert exc.value.factor == poly_monic(poly_gcd(a, p)) == factor
 
 
@@ -431,6 +498,7 @@ def test_equal_values_have_equal_representatives(name, data):
 def test_rational_values_equal_and_hash_as_rationals(sqrt2_field):
     a = sqrt2_field.alpha()
     two, third, zero = a * a, (a / 3) * a / 2, a - a
+    assert (type(two), type(third), type(zero)) == (int, Q, int)
     assert two == 2 and hash(two) == hash(2)
     assert third == Q(1, 3) and hash(third) == hash(Q(1, 3))
     assert zero == 0 and hash(zero) == hash(0)
@@ -471,7 +539,7 @@ def test_field_axioms(sqrt2_field, data):
     assert a * (b + c) == a * b + a * c
     assert a * b == b * a
     if sign_of(a) != 0:
-        assert a * a.inverse() == 1
+        assert a * invert(a) == 1
 
 
 @settings(max_examples=40, deadline=None)
